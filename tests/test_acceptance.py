@@ -5,12 +5,15 @@ expected values are exact (orders counted independently from lattice
 indices and flags-per-cell, shapes frozen as literals).
 """
 
+import hashlib
+import json
 import random
 
 import networkx as nx
 import pytest
 
 from hyperforge import constructions as cons
+from hyperforge import dot
 from hyperforge import engine
 from hyperforge import geometry as geo
 from hyperforge import iso
@@ -368,3 +371,43 @@ def test_family_double_halving_is_always_bipartite(family_reports):
     for (n, k, s), report in family_reports.items():
         assert report["stages"]["double_halved"]["bp_branch"] is True, \
             (n, k, s)
+
+
+# sha256 of outputs that must stay byte-identical while the internals
+# are refactored: the P and BP halvings, a DOT diagram and the
+# verify_family reports
+GOLDEN_DIGESTS = {
+    "halve_313": "f2bb8073e44b65a311390095f9142b78"
+                 "92b1bf63ff8b91747ee8001a2e2530e8",
+    "halve_314": "030de6821749b55fd62c8896f56f59e4"
+                 "45b4a1deb7fe5796c8fb9db4fcea75fe",
+    "dot_313": "53e744f29c1480d4e8dc3c3ebb6c235b"
+               "b1b4fe541b5f0c78ab7e418b9f7bdc2a",
+    (3, 1, 3): "4dd76a830b287134a33f6239a2305b99"
+               "0cfc5352aa1d7cfb1b9b65d01b43521f",
+    (3, 1, 4): "9e6fdc470c1cfa66099a11e6d01e9a77"
+               "e2a749da6e73a90a458cc2ba29b73512",
+    (4, 1, 3): "3a38dcfe84d52eedf6bbe9e9b316cbe2"
+               "e5739ccca28f84110070db59e545059a",
+    (4, 2, 2): "2011084e765d03a01e48b5bab758d42c"
+               "85f47bcdf5b6ccc4648a7f638f8d15e5",
+}
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_output_digests(toroid_313, toroid_314, family_reports):
+    _, g313 = toroid_313
+    _, g314 = toroid_314
+    got = {
+        "halve_313": _digest(geo.to_json(cons.halving_geometry(g313,
+                                                               (0, 1)))),
+        "halve_314": _digest(geo.to_json(cons.halving_geometry(g314,
+                                                               (0, 1)))),
+        "dot_313": _digest(dot.diagram_to_dot(g313)),
+    }
+    for cell, report in family_reports.items():
+        got[cell] = _digest(json.dumps(report, sort_keys=True, default=str))
+    assert got == GOLDEN_DIGESTS
