@@ -18,7 +18,7 @@ from . import iso
 from . import toroids
 from . import dot
 from .presentations import from_json as presentation_from_json
-from .toddcox import todd_coxeter, perm_image, default_max_cosets
+from .toddcox import todd_coxeter, perm_image
 
 
 def _write(path, text):
@@ -91,7 +91,7 @@ def _run_prop(g, spec):
     if name == "ft":
         return iso.is_flag_transitive(g)
     if name in ("b1", "b2") and len(parts) == 3:
-        leaf = (int(parts[1]), int(parts[2]))
+        leaf = _parse_leaf(",".join(parts[1:]))
         check = cons.check_B1 if name == "b1" else cons.check_B2
         return check(g, leaf)
     raise InvalidParams("unknown property %r" % spec)
@@ -114,7 +114,11 @@ def _parse_words(text):
         for chunk in text.split(","):
             chunk = chunk.strip()
             if chunk:
-                words.append(tuple(int(t) for t in chunk.split()))
+                try:
+                    words.append(tuple(int(t) for t in chunk.split()))
+                except ValueError:
+                    raise InvalidParams("subgroup word %r is not a list of"
+                                        " generator indices" % chunk)
     return words
 
 

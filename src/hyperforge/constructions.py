@@ -5,6 +5,11 @@ roles: vertices double into two fibers and every other element doubles
 into its residue's parity classes (non-bipartite truncation), or the
 vertex set splits into the two sides of the bipartition (bipartite
 truncation).  halving_geometry dispatches between the two.
+
+truncation_graph is the one vertex-edge graph builder: of the whole
+geometry for the leaf, of a residue for the parity classes of its
+elements.  parity_classes, partitioned_neighborhood and
+gonality_formula take such a graph as an adjacency mapping.
 """
 
 from .errors import (
@@ -35,21 +40,9 @@ class ParityPartition:
         return self.classes[1] if P == self.classes[0] else self.classes[0]
 
 
-def _as_graph(graph, leaf=(0, 1)):
-    """Normalize a rank-2 geometry or an adjacency mapping to
-    (sorted vertex tuple, adjacency dict of sorted tuples)."""
-    if isinstance(graph, geo.IncidenceGeometry):
-        i, j = leaf
-        verts = graph.elements_of_type(i)
-        adj = {v: set() for v in verts}
-        for e in graph.elements_of_type(j):
-            ends = sorted(geo.shadow(graph, e, i))
-            if len(ends) != 2:
-                raise InvalidParams(
-                    "edge %d has %d endpoints" % (e, len(ends)))
-            adj[ends[0]].add(ends[1])
-            adj[ends[1]].add(ends[0])
-        return tuple(verts), {v: tuple(sorted(a)) for v, a in adj.items()}
+def _as_graph(graph):
+    """Normalize an adjacency mapping to (sorted vertex tuple,
+    adjacency dict of sorted tuples), checking symmetry."""
     verts = tuple(sorted(graph))
     adj = {v: tuple(sorted(graph[v])) for v in verts}
     for v in verts:
@@ -60,7 +53,10 @@ def _as_graph(graph, leaf=(0, 1)):
 
 
 def parity_classes(graph):
-    verts, adj = _as_graph(graph)
+    return _parity(*_as_graph(graph))
+
+
+def _parity(verts, adj):
     if not verts:
         raise Disconnected("empty graph")
     color = {verts[0]: 0}
@@ -89,7 +85,7 @@ def partitioned_neighborhood(graph, P):
     """Rank-2 geometry: points P x {0}, lines P-bar x {1}, incidence
     is graph adjacency."""
     verts, adj = _as_graph(graph)
-    pp = parity_classes(graph)
+    pp = _parity(verts, adj)
     P = frozenset(P)
     pbar = pp.complement(P)
     points = sorted(P)
@@ -111,16 +107,23 @@ def partitioned_neighborhood(graph, P):
     return geo.build_geometry(2, types, pairs, labels=labels)
 
 
-def truncation_graph(g, leaf):
-    """The {i,j}-truncation seen as a graph on the i-elements,
-    plus each j-element's endpoint pair."""
+def truncation_graph(g, leaf, flag=()):
+    """The {i,j}-truncation of the residue of flag (the whole geometry
+    for the empty flag) seen as a graph on its i-elements, plus each
+    j-element's endpoint pair.  Elements keep their ids in g."""
     i, j = leaf
-    verts = g.elements_of_type(i)
-    adj = {v: set() for v in verts}
+    cand = geo.flag_candidates(g, flag)
+    adj = {}
+    edges = []
+    for e in sorted(cand):
+        if g.type_of[e] == i:
+            adj[e] = set()
+        elif g.type_of[e] == j:
+            edges.append(e)
     endpoints = {}
-    for e in g.elements_of_type(j):
-        ends = sorted(geo.shadow(g, e, i))
-        endpoints[e] = tuple(ends)
+    for e in edges:
+        ends = tuple(sorted(v for v in g.adj[e] if v in adj))
+        endpoints[e] = ends
         if len(ends) == 2:
             adj[ends[0]].add(ends[1])
             adj[ends[1]].add(ends[0])
@@ -152,18 +155,13 @@ def check_B2(g, leaf):
     return True
 
 
-def _leaf_preconditions(g, leaf, want_bipartite):
+def _leaf_preconditions(g, leaf):
     if not geo.is_residually_connected(g):
         raise PreconditionFailed("NotRC")
     if not check_B1(g, leaf):
         raise PreconditionFailed("B1")
     if not check_B2(g, leaf):
         raise PreconditionFailed("B2")
-    adj, _ = truncation_graph(g, leaf)
-    bip = parity_classes(adj).bipartite
-    if want_bipartite is not None and bip != want_bipartite:
-        raise PreconditionFailed("Bipartite")
-    return bip
 
 
 class ConstructionData:
@@ -183,20 +181,6 @@ def _attach(g, data):
     return g
 
 
-def residue_parity(g, x, leaf):
-    """Parity classes of the {i,j}-truncation of the residue at x."""
-    i, j = leaf
-    verts = sorted(geo.shadow(g, x, i))
-    vset = set(verts)
-    adj = {v: set() for v in verts}
-    for e in geo.shadow(g, x, j):
-        ends = [v for v in geo.shadow(g, e, i) if v in vset]
-        if len(ends) == 2:
-            adj[ends[0]].add(ends[1])
-            adj[ends[1]].add(ends[0])
-    return parity_classes({v: tuple(sorted(a)) for v, a in adj.items()})
-
-
 def p_construction(g, leaf, force=False):
     """Partitioned geometry for a non-bipartite {i,j}-truncation.
 
@@ -206,10 +190,16 @@ def p_construction(g, leaf, force=False):
     with (x,P) when p in P; (q,1) with (x,P) when q in P-bar; class
     elements of incident bases when their classes intersect.
     """
-    i, j = leaf
     if not force:
-        _leaf_preconditions(g, leaf, want_bipartite=False)
+        _leaf_preconditions(g, leaf)
     adj, _ = truncation_graph(g, leaf)
+    if not force and parity_classes(adj).bipartite:
+        raise PreconditionFailed("Bipartite")
+    return _p_build(g, leaf, adj)
+
+
+def _p_build(g, leaf, adj):
+    i, j = leaf
     verts = g.elements_of_type(i)
 
     bases = []
@@ -235,7 +225,7 @@ def p_construction(g, leaf, force=False):
                 add(p, 1, j, None)
         else:
             for x in g.elements_of_type(t):
-                pp = residue_parity(g, x, leaf)
+                pp = parity_classes(truncation_graph(g, leaf, (x,))[0])
                 parities[x] = pp
                 for ci, P in enumerate(pp.classes):
                     add(x, ("class", ci), t, P)
@@ -278,13 +268,16 @@ def p_construction(g, leaf, force=False):
 def bp_construction(g, leaf, force=False):
     """Bipartite construction: the two sides of the {i,j}-truncation
     replace the leaf elements; everything else is untouched."""
-    i, j = leaf
     if not force:
-        _leaf_preconditions(g, leaf, want_bipartite=True)
+        _leaf_preconditions(g, leaf)
     adj, _ = truncation_graph(g, leaf)
-    pp = parity_classes(adj)
+    return _bp_build(g, leaf, adj, parity_classes(adj))
+
+
+def _bp_build(g, leaf, adj, pp):
     if not pp.bipartite:
         raise PreconditionFailed("Bipartite")
+    i, j = leaf
     side0, side1 = pp.classes
 
     bases = []
@@ -338,13 +331,15 @@ def bp_construction(g, leaf, force=False):
 
 
 def halving_geometry(g, leaf, force=False):
-    """P or BP construction, by bipartiteness of the truncation."""
+    """P or BP construction, by bipartiteness of the truncation, which
+    is built once and handed to the branch."""
     if not force:
-        _leaf_preconditions(g, leaf, want_bipartite=None)
+        _leaf_preconditions(g, leaf)
     adj, _ = truncation_graph(g, leaf)
-    if parity_classes(adj).bipartite:
-        return bp_construction(g, leaf, force=True)
-    return p_construction(g, leaf, force=True)
+    pp = parity_classes(adj)
+    if pp.bipartite:
+        return _bp_build(g, leaf, adj, pp)
+    return _p_build(g, leaf, adj)
 
 
 def duality_correlation(h):
@@ -420,7 +415,8 @@ def b1b2_propagation(g, leaf, next_leaf, force=False):
 
     def bipartite_at(x):
         if x not in bip:
-            bip[x] = residue_parity(g, x, leaf).bipartite
+            bip[x] = parity_classes(
+                truncation_graph(g, leaf, (x,))[0]).bipartite
         return bip[x]
 
     for x in g.elements_of_type(k):

@@ -4,7 +4,8 @@ All functions here expect a PermGroup coming from coset enumeration
 over the trivial subgroup: points are group elements, point 0 the
 identity, generators act by right multiplication.  In that picture
 
-  - the parabolic G_i (all generators but i) is the right-orbit of 0,
+  - the parabolic G_i (all generators but i) is the right-orbit of 0
+    (perms.subgroup_points),
   - right cosets G_i g are the orbits of left multiplication by G_i,
   - left cosets w G_i are the orbits of right multiplication by G_i,
 
@@ -15,14 +16,9 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import IncompleteTable, NotAnAction
-from .perms import PermGroup, orbit
+from .errors import NotAnAction
+from .perms import PermGroup, orbit, require_regular, subgroup_points
 from . import geometry as geo
-
-
-def _require_regular(pg):
-    if not pg.regular:
-        raise IncompleteTable("regular representation required")
 
 
 def left_mult_gens(pg):
@@ -31,7 +27,7 @@ def left_mult_gens(pg):
     lam[x][w] = point of rho_x * (element at point w), computed by a
     BFS from the identity: lam(p.y) = lam(p).y.
     """
-    _require_regular(pg)
+    require_regular(pg)
     n = pg.degree
     lam = [np.full(n, -1, dtype=np.int64) for _ in range(pg.ngens)]
     for x in range(pg.ngens):
@@ -92,7 +88,7 @@ def coset_geometry(pg):
     element w lies in exactly one type-i coset, so incidences are the
     pairs of labels seen at a common point.
     """
-    _require_regular(pg)
+    require_regular(pg)
     n = pg.degree
     rank = pg.ngens
     lam = left_mult_gens(pg)
@@ -143,7 +139,7 @@ def halving_group(pg, leaf):
     either the whole group with a conjugated generator, or its index-2
     subgroup of even words.
     """
-    _require_regular(pg)
+    require_regular(pg)
     i, j = leaf
     gi, gj = pg.gens[i], pg.gens[j]
     new_gens = list(pg.gens)
@@ -158,22 +154,16 @@ def halving_group(pg, leaf):
     return PermGroup(len(pts), restricted, regular=True, order=len(pts))
 
 
-def parabolic_points(pg, subset):
-    """Element set of the parabolic generated by the listed generators."""
-    _require_regular(pg)
-    return orbit(0, [pg.gens[x] for x in subset])
-
-
 def check_B1_algebraic(pg, leaf):
     """G_i cap rho_i G_i rho_i = G_{i,j} with (i,j) in the (0,1) roles."""
-    _require_regular(pg)
+    require_regular(pg)
     i, j = leaf
     others = [x for x in range(pg.ngens) if x != i]
-    gi_set = parabolic_points(pg, others)
+    gi_set = subgroup_points(pg, others)
     lam_i = left_mult_gens(pg)[i]
     conj = pg.gens[i][lam_i[gi_set]]
     meet = np.intersect1d(gi_set, conj)
-    gij_set = parabolic_points(pg, [x for x in others if x != j])
+    gij_set = subgroup_points(pg, [x for x in others if x != j])
     return np.array_equal(meet, gij_set)
 
 
@@ -191,11 +181,11 @@ def check_B2_algebraic_sufficient(pg, leaf):
     guarantees (B2); False is inconclusive for inputs that are not
     regular leaf hypertopes.
     """
-    _require_regular(pg)
+    require_regular(pg)
     i, j = leaf
     lam = left_mult_gens(pg)
-    gi_set = parabolic_points(pg, [x for x in range(pg.ngens) if x != i])
-    gj_set = parabolic_points(pg, [x for x in range(pg.ngens) if x != j])
+    gi_set = subgroup_points(pg, [x for x in range(pg.ngens) if x != i])
+    gj_set = subgroup_points(pg, [x for x in range(pg.ngens) if x != j])
     girho = pg.gens[i][gi_set]
     for t in range(pg.ngens):
         if t in (i, j):
@@ -218,7 +208,7 @@ def induced_geometry_map(ga, gb, gen_map, type_map):
     and type i to type_map[i].  The group homomorphism A -> B fixing
     the identity and satisfying phi(p.x) = phi(p).gen_map[x] is built
     point by point and checked for consistency; the element bijection
-    it induces is then checked to preserve incidence exactly.  Returns
+    it induces is then checked with geometry.preserves_incidence.  Returns
     the element map (list) or None when any check fails.
     """
     da = ga.coset_data
@@ -256,13 +246,5 @@ def induced_geometry_map(ga, gb, gen_map, type_map):
         if len(pairs) != len(np.unique(pairs[:, 0])):
             return None
         emap[pairs[:, 0]] = pairs[:, 1]
-    emap = [int(v) for v in emap]
-    if sorted(emap) != list(range(gb.nelements)):
-        return None
-    for e in range(ga.nelements):
-        if type_map[ga.type_of[e]] != gb.type_of[emap[e]]:
-            return None
-        image = sorted(emap[y] for y in ga.adj[e])
-        if image != list(gb.adj[emap[e]]):
-            return None
-    return emap
+    emap = emap.tolist()
+    return emap if geo.preserves_incidence(ga, gb, emap, type_map) else None

@@ -11,7 +11,7 @@ import math
 
 from .errors import (
     SelfIncidence, SameTypeIncidence, UnknownElement, NotAFlag,
-    NotAGeometry, SizeLimitExceeded,
+    NotAGeometry, SizeLimitExceeded, InvalidParams,
 )
 
 DEFAULT_MAX_FLAGS = 10 ** 6
@@ -105,9 +105,13 @@ def _check_flag(g, f):
 
 
 def flag_candidates(g, f):
-    """Elements incident to every member of f (the residue's elements)."""
-    cand = frozenset(range(g.nelements))
-    for x in f:
+    """Elements incident to every member of f (the residue's elements);
+    all elements for the empty flag."""
+    f = list(f)
+    if not f:
+        return frozenset(range(g.nelements))
+    cand = g.adjsets[f[0]]
+    for x in f[1:]:
         cand = cand & g.adjsets[x]
     return cand
 
@@ -376,8 +380,7 @@ def buekenhout_diagram(g, max_flags=DEFAULT_MAX_FLAGS):
             seen = {}
             done = set()
             for f in _flags_of_type(g, cotype):
-                cand = flag_candidates(g, f) if f else \
-                    frozenset(range(g.nelements))
+                cand = flag_candidates(g, f)
                 pts = frozenset(x for x in cand if g.type_of[x] == i)
                 lns = frozenset(x for x in cand if g.type_of[x] == j)
                 key = (pts, lns)
@@ -388,6 +391,21 @@ def buekenhout_diagram(g, max_flags=DEFAULT_MAX_FLAGS):
                 seen[lab] = seen.get(lab, 0) + 1
             entries[(i, j)] = tuple(sorted(seen.items()))
     return BuekenhoutDiagram(g.rank, entries)
+
+
+def preserves_incidence(ga, gb, element_map, type_map):
+    """True when element_map is a bijection from ga's elements onto
+    gb's that sends type t to type_map[t] and the incidences of each
+    element onto those of its image."""
+    if sorted(element_map) != list(range(gb.nelements)):
+        return False
+    for e in range(ga.nelements):
+        f = element_map[e]
+        if type_map[ga.type_of[e]] != gb.type_of[f]:
+            return False
+        if sorted(element_map[y] for y in ga.adj[e]) != list(gb.adj[f]):
+            return False
+    return True
 
 
 def relabel_types(g, tmap):
@@ -410,11 +428,15 @@ def to_json(g):
 
 
 def from_json(text):
-    data = json.loads(text)
-    elems = sorted(data["elements"], key=lambda d: d["id"])
-    if [d["id"] for d in elems] != list(range(len(elems))):
-        raise UnknownElement("element ids must be dense 0..m-1")
-    types = [d["type"] for d in elems]
-    pairs = [tuple(p) for p in data["incidences"]]
-    return build_geometry(data["rank"], types, pairs,
-                          provenance=data.get("provenance"))
+    """Inverse of to_json; malformed input raises InvalidParams."""
+    try:
+        data = json.loads(text)
+        elems = sorted(data["elements"], key=lambda d: d["id"])
+        if [d["id"] for d in elems] != list(range(len(elems))):
+            raise UnknownElement("element ids must be dense 0..m-1")
+        types = [d["type"] for d in elems]
+        pairs = [(x, y) for x, y in data["incidences"]]
+        return build_geometry(data["rank"], types, pairs,
+                              provenance=data.get("provenance"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidParams("malformed geometry JSON: %r" % (exc,))

@@ -61,18 +61,6 @@ def _extract_map(colors1, colors2):
     return [pos[c] for c in colors1]
 
 
-def _verify_map(g1, g2, mapping):
-    if sorted(mapping) != list(range(g2.nelements)):
-        return False
-    for e in range(g1.nelements):
-        if g1.type_of[e] != g2.type_of[mapping[e]]:
-            return False
-        image = sorted(mapping[y] for y in g1.adj[e])
-        if image != list(g2.adj[mapping[e]]):
-            return False
-    return True
-
-
 def _search(g1, g2, colors1, colors2, collect_all):
     """Backtracking isomorphism search; yields verified maps."""
     colors1, colors2 = _refine([g1.adj, g2.adj], [colors1, colors2])
@@ -81,7 +69,7 @@ def _search(g1, g2, colors1, colors2, collect_all):
     cell = _target_cell(colors1)
     if cell is None:
         mapping = _extract_map(colors1, colors2)
-        if _verify_map(g1, g2, mapping):
+        if geo.preserves_incidence(g1, g2, mapping, range(g1.rank)):
             yield mapping
         return
     fresh = max(max(colors1), max(colors2)) + 1
@@ -136,13 +124,10 @@ def validate_action(g, action):
     if action.degree != g.nelements:
         raise NotAnAction("degree %d != %d elements"
                           % (action.degree, g.nelements))
-    for p in action.gens:
-        for e in range(g.nelements):
-            if g.type_of[e] != g.type_of[p[e]]:
-                raise NotAnAction("type not preserved at %d" % e)
-            image = sorted(int(p[y]) for y in g.adj[e])
-            if image != list(g.adj[p[e]]):
-                raise NotAnAction("incidence not preserved at %d" % e)
+    for x, p in enumerate(action.gens):
+        if not geo.preserves_incidence(g, g, p.tolist(), range(g.rank)):
+            raise NotAnAction("generator %d does not preserve types"
+                              " and incidence" % x)
 
 
 def is_flag_transitive(g, action=None, max_elements=DEFAULT_MAX_ELEMENTS,

@@ -11,7 +11,7 @@ from math import lcm
 
 import numpy as np
 
-from .errors import SizeLimitExceeded
+from .errors import SizeLimitExceeded, IncompleteTable
 
 MULCLOSE_LIMIT = 10 ** 5
 
@@ -102,13 +102,14 @@ def mulclose(gens, limit):
     return seen
 
 
-def group_order(pg):
-    return pg.order()
+def require_regular(pg):
+    if not pg.regular:
+        raise IncompleteTable("regular representation required")
 
 
 def subgroup_points(pg, subset):
     """Element set of <gens[i] : i in subset> in a regular PermGroup."""
-    assert pg.regular
+    require_regular(pg)
     return orbit(0, [pg.gens[i] for i in subset])
 
 

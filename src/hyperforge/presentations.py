@@ -65,5 +65,9 @@ def to_json(p):
 
 
 def from_json(text):
-    data = json.loads(text)
-    return GroupPresentation(data["ngens"], data["relators"])
+    """Inverse of to_json; malformed input raises InvalidParams."""
+    try:
+        data = json.loads(text)
+        return GroupPresentation(data["ngens"], data["relators"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidParams("malformed presentation JSON: %r" % (exc,))

@@ -24,9 +24,13 @@ DEFAULT_MAX_COSETS = 5 * 10 ** 6
 
 def default_max_cosets():
     env = os.environ.get("HYPERFORGE_MAX_COSETS")
-    if env:
+    if not env:
+        return DEFAULT_MAX_COSETS
+    try:
         return int(env)
-    return DEFAULT_MAX_COSETS
+    except ValueError:
+        raise InvalidParams("HYPERFORGE_MAX_COSETS=%r is not an integer"
+                            % env)
 
 
 def backend_name():

@@ -270,10 +270,17 @@ def matrix_shape(m):
     return tuple(sorted(degrees)), tuple(sorted(labels))
 
 
-def _verify_hypertope(pg, g, context):
+def _certify(pg, g, context, expected=None):
     """Thin + residually connected + flag-transitive, by exhaustive
-    scan when small and by the string/group certificate when large."""
-    if pg.degree <= FULL_CHECK_LIMIT:
+    scan when small and by the string/group certificate when large.
+
+    With the Coxeter matrix `expected`, also returns the diagram
+    fields of a verify_family stage: the shape of g's Buekenhout
+    diagram (None when large, as it needs a flag scan) against the
+    shape of the expected diagram.
+    """
+    full = pg.degree <= FULL_CHECK_LIMIT
+    if full:
         if not geo.is_geometry(g):
             raise PropertyViolation("%s: not a geometry" % context)
         if not geo.is_thin(g):
@@ -283,10 +290,24 @@ def _verify_hypertope(pg, g, context):
                                     % context)
         if not iso.is_flag_transitive(g, engine.natural_action(g)):
             raise PropertyViolation("%s: not flag-transitive" % context)
-    else:
-        if not intersection_property(pg):
-            raise PropertyViolation("%s: intersection property fails"
-                                    % context)
+    elif not intersection_property(pg):
+        raise PropertyViolation("%s: intersection property fails"
+                                % context)
+    if expected is None:
+        return None
+    shape = geo.buekenhout_diagram(g).shape() if full else None
+    want = matrix_shape(expected)
+    return {"diagram_shape": shape, "diagram_expected": want,
+            "diagram_matches": shape == want if full else None}
+
+
+def _certify_toroid(p, pg, g, expected=None):
+    """_certify plus the linear Coxeter diagram of the toroid group."""
+    fields = _certify(pg, g, "toroid %r" % (p,), expected)
+    if coxeter_matrix(pg) != linear_matrix(p.n):
+        raise PropertyViolation("toroid %r: diagram is not linear"
+                                " 4-3-...-3-4" % (p,))
+    return fields
 
 
 def build_cubic_toroid(p, max_cosets=None, check=True):
@@ -297,24 +318,8 @@ def build_cubic_toroid(p, max_cosets=None, check=True):
     pg = perm_image(t)
     g = engine.coset_geometry(pg)
     if check:
-        _verify_hypertope(pg, g, "toroid %r" % (p,))
-        if coxeter_matrix(pg) != linear_matrix(p.n):
-            raise PropertyViolation("toroid %r: diagram is not linear"
-                                    " 4-3-...-3-4" % (p,))
+        _certify_toroid(p, pg, g)
     return pg, g
-
-
-def geometry_diagram_shape(g):
-    """(sorted node degrees, sorted gonality labels) of the non-digon
-    edges of the computed diagram."""
-    d = geo.buekenhout_diagram(g)
-    degrees = [0] * g.rank
-    labels = []
-    for (i, j) in d.edge_labels():
-        degrees[i] += 1
-        degrees[j] += 1
-        labels.append(d.label(i, j)[0])
-    return tuple(sorted(degrees)), tuple(sorted(labels))
 
 
 def _agreement(pres, hg, context, diffs, max_cosets=None):
@@ -355,11 +360,12 @@ def verify_family(p, depth=0, max_cosets=None):
     report = {"params": {"n": p.n, "k": p.k, "s": p.s}, "depth": depth,
               "stages": {}}
 
-    pg, g = build_cubic_toroid(p, max_cosets=max_cosets)
-    stage = {"order": pg.order(),
-             "type_counts": list(g.type_counts()),
-             "bipartite_predicted": predict_truncation_bipartite(p),
-             "degenerate_predicted": predict_degenerate_leaf(p)}
+    pg, g = build_cubic_toroid(p, max_cosets=max_cosets, check=False)
+    stage = _certify_toroid(p, pg, g, linear_matrix(n))
+    stage.update({"order": pg.order(),
+                  "type_counts": list(g.type_counts()),
+                  "bipartite_predicted": predict_truncation_bipartite(p),
+                  "degenerate_predicted": predict_degenerate_leaf(p)})
     pres = cubic_toroid_presentation(p)
     stage["bipartite_relators"] = relator_parity_bipartite(pres, 0)
     adj, _ = cons.truncation_graph(g, (0, 1))
@@ -372,12 +378,6 @@ def verify_family(p, depth=0, max_cosets=None):
     if stage["b1"] != (not stage["degenerate_predicted"]):
         diffs.append(("toroid", "b1_vs_degeneracy",
                       not stage["degenerate_predicted"], stage["b1"]))
-    shape = geometry_diagram_shape(g) if pg.degree <= FULL_CHECK_LIMIT \
-        else None
-    stage["diagram_shape"] = shape
-    stage["diagram_expected"] = matrix_shape(linear_matrix(n))
-    stage["diagram_matches"] = shape == stage["diagram_expected"] \
-        if shape is not None else None
     # self-duality under reversing the generator order
     rev = [n - t for t in range(n + 1)]
     stage["self_dual"] = engine.induced_geometry_map(g, g, rev, rev) \
@@ -402,19 +402,14 @@ def verify_family(p, depth=0, max_cosets=None):
             stage["presentation"] = "unsupported: %s" % exc
             gh = engine.coset_geometry(hg)
         if gh is not None:
-            _verify_hypertope(hg, gh, "halved %r" % (p,))
+            stage.update(_certify(hg, gh, "halved %r" % (p,),
+                                  halved_matrix(n)))
             stage["b1_next_leaf"] = cons.check_B1(gh, (n, n - 1))
             stage["b2_next_leaf"] = cons.check_B2(gh, (n, n - 1))
             if not (stage["b1_next_leaf"] and stage["b2_next_leaf"]):
                 diffs.append(("halved", "next_leaf_nondegenerate", True,
                               (stage["b1_next_leaf"],
                                stage["b2_next_leaf"])))
-            shape = geometry_diagram_shape(gh) \
-                if hg.degree <= FULL_CHECK_LIMIT else None
-            stage["diagram_shape"] = shape
-            stage["diagram_expected"] = matrix_shape(halved_matrix(n))
-            stage["diagram_matches"] = shape == stage["diagram_expected"] \
-                if shape is not None else None
         report["stages"]["halved"] = stage
 
     if depth >= 2 and not diffs:
@@ -437,19 +432,13 @@ def verify_family(p, depth=0, max_cosets=None):
             stage["presentation"] = "unsupported: %s" % exc
             gh2 = engine.coset_geometry(h2)
         if gh2 is not None:
-            _verify_hypertope(h2, gh2, "double halved %r" % (p,))
-            shape = geometry_diagram_shape(gh2) \
-                if h2.degree <= FULL_CHECK_LIMIT else None
-            stage["diagram_shape"] = shape
-            stage["diagram_expected"] = matrix_shape(double_halved_matrix(n))
-            stage["diagram_matches"] = shape == stage["diagram_expected"] \
-                if shape is not None else None
+            stage.update(_certify(h2, gh2, "double halved %r" % (p,),
+                                  double_halved_matrix(n)))
         # halving at the other leaf gives the dual of halving at (0,1)
         kg = engine.halving_group(pg, (n, n - 1))
         gk = engine.coset_geometry(kg)
-        ghh = engine.coset_geometry(hg)
         stage["dual_of_first_halving"] = engine.induced_geometry_map(
-            ghh, gk, rev, rev) is not None
+            gh, gk, rev, rev) is not None
         if not stage["dual_of_first_halving"]:
             diffs.append(("double_halved", "dual_of_first_halving",
                           True, False))

@@ -18,7 +18,7 @@ from hyperforge import engine
 from hyperforge import geometry as geo
 from hyperforge import iso
 from hyperforge import toroids
-from hyperforge.perms import coxeter_matrix, intersection_property
+from hyperforge.perms import intersection_property
 from hyperforge.presentations import relator_parity_bipartite, \
     coxeter_presentation
 from hyperforge.toddcox import todd_coxeter, perm_image
@@ -38,20 +38,6 @@ EXPECTED_ORDER = {
 }
 
 
-def _agreement(presentation, hg):
-    """Presented group vs directly computed subgroup."""
-    qg = perm_image(todd_coxeter(presentation))
-    out = {"order": qg.order() == hg.order()}
-    if out["order"]:
-        out["coxeter"] = coxeter_matrix(qg) == coxeter_matrix(hg)
-        gq = engine.coset_geometry(qg)
-        gh = engine.coset_geometry(hg)
-        ident = list(range(qg.ngens))
-        out["iso"] = engine.induced_geometry_map(gq, gh, ident, ident) \
-            is not None
-    return out
-
-
 @pytest.fixture(scope="module")
 def envelope():
     records = {}
@@ -68,12 +54,18 @@ def envelope():
         }
         hg = engine.halving_group(pg, (0, 1))
         rec["h_order"] = hg.order()
-        rec["halved"] = _agreement(toroids.halved_presentation(p), hg)
+        # presented group vs directly computed subgroup
+        rec["halved_diffs"] = []
+        rec["halved"], _ = toroids._agreement(
+            toroids.halved_presentation(p), hg, "halved",
+            rec["halved_diffs"])
         if (k, s) != (2, 2):
             h2 = engine.halving_group(hg, (n, n - 1))
             rec["h2_order"] = h2.order()
-            rec["double"] = _agreement(
-                toroids.double_halved_presentation(p), h2)
+            rec["double_diffs"] = []
+            rec["double"], _ = toroids._agreement(
+                toroids.double_halved_presentation(p), h2, "double_halved",
+                rec["double_diffs"])
         records[(n, k, s)] = rec
     return records
 
@@ -131,8 +123,10 @@ def test_group_halving_matches_combinatorial_halving(toroid_313,
 
 def test_presentation_agreement_halved(envelope):
     for cell in CELLS:
-        agreed = envelope[cell]["halved"]
-        assert agreed == {"order": True, "coxeter": True, "iso": True}, cell
+        entry = envelope[cell]["halved"]
+        assert envelope[cell]["halved_diffs"] == [], cell
+        assert entry["coxeter_matrix_equal"] is True, cell
+        assert entry["coset_geometry_isomorphic"] is True, cell
 
 
 def test_presentation_agreement_double_halved(envelope):
@@ -142,8 +136,10 @@ def test_presentation_agreement_double_halved(envelope):
             assert "double" not in rec
             continue
         assert rec["h2_order"] == rec["h_order"] // 2, (n, k, s)
-        assert rec["double"] == {"order": True, "coxeter": True,
-                                 "iso": True}, (n, k, s)
+        entry = rec["double"]
+        assert rec["double_diffs"] == [], (n, k, s)
+        assert entry["coxeter_matrix_equal"] is True, (n, k, s)
+        assert entry["coset_geometry_isomorphic"] is True, (n, k, s)
 
 
 def test_hemicube_halving_gives_tetrahedron(hemicube, tetrahedron):
@@ -204,19 +200,6 @@ def _complement_set(hp, e):
     return data.class_sets[sib if sib is not None else e]
 
 
-def _residue_graph(g, flag):
-    """The vertex-edge truncation of a residue, on original ids."""
-    verts = set.intersection(*[geo.shadow(g, x, 0) for x in flag])
-    edges = set.intersection(*[geo.shadow(g, x, 1) for x in flag])
-    adjd = {v: set() for v in verts}
-    for e in edges:
-        ends = sorted(geo.shadow(g, e, 0) & verts)
-        if len(ends) == 2:
-            adjd[ends[0]].add(ends[1])
-            adjd[ends[1]].add(ends[0])
-    return {v: tuple(sorted(a)) for v, a in adjd.items()}
-
-
 def test_partitioned_toroid_properties(partitioned_313):
     g, hp, chambers = partitioned_313
     assert hp.type_counts() == (27, 27, 162, 54)
@@ -259,7 +242,7 @@ def test_residue_laws_on_random_flags(partitioned_313):
         assert iso.isomorphic(geo.residue(hp, [e0, e1]),
                               geo.residue(g, [p, edge]))
         # cotype {0,1}: a partitioned neighborhood of the base residue
-        adjF = _residue_graph(g, [x2, x3])
+        adjF, _ = cons.truncation_graph(g, (0, 1), (x2, x3))
         P = frozenset(data.class_sets[e2] & data.class_sets[e3]
                       & set(adjF))
         assert P in cons.parity_classes(adjF).classes

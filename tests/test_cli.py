@@ -139,3 +139,40 @@ def test_verify_family(tmp_path, capsys):
 
 def test_verify_family_bad_params():
     assert run(["verify-family", "--n", "2", "--k", "1", "--s", "3"]) == 2
+
+
+def test_check_geometry_without_elements(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"rank": 2, "incidences": []}))
+    assert run(["check", str(bad), "--props", "geom"]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_enumerate_presentation_without_relators(tmp_path, capsys):
+    pfile = tmp_path / "pres.json"
+    pfile.write_text(json.dumps({"ngens": 3}))
+    assert run(["enumerate", "--presentation", str(pfile)]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_enumerate_bad_subgroup_word(tmp_path, capsys):
+    pfile = tmp_path / "pres.json"
+    pfile.write_text(pres.to_json(pres.coxeter_presentation(
+        ((1, 3, 2), (3, 1, 3), (2, 3, 1)))))
+    assert run(["enumerate", "--presentation", str(pfile),
+                "--subgroup", "x"]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_check_bad_leaf_index(tmp_path, capsys, triangle):
+    tri = tmp_path / "triangle.json"
+    tri.write_text(geo.to_json(triangle))
+    assert run(["check", str(tri), "--props", "b1:0:x"]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_bad_max_cosets_environment(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HYPERFORGE_MAX_COSETS", "abc")
+    assert run(["build", "toroid", "--n", "3", "--k", "2", "--s", "2",
+                "-o", str(tmp_path / "unused.json")]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")

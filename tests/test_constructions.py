@@ -67,6 +67,14 @@ def test_truncation_graph(cube):
     assert len(adj) == 8
     assert all(len(a) == 3 for a in adj.values())
     assert len(endpoints) == 12
+    # the residue of vertex v is a 3-cycle: the edges at v, one per
+    # neighbour of v, joined pairwise by the three faces at v
+    v = 0
+    local, ends = cons.truncation_graph(cube, (1, 2), (v,))
+    at_v = sorted(geo.shadow(cube, v, 1))
+    assert local == {e: tuple(x for x in at_v if x != e) for e in at_v}
+    assert sorted(ends) == sorted(geo.shadow(cube, v, 2))
+    assert all(len(pair) == 2 for pair in ends.values())
 
 
 def test_check_B1(cube, hemicube):

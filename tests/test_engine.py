@@ -6,6 +6,7 @@ from hyperforge import errors
 from hyperforge import geometry as geo
 from hyperforge.constructions import check_B1, check_B2
 from hyperforge.iso import isomorphic, is_flag_transitive
+from hyperforge.perms import subgroup_points
 from hyperforge.presentations import coxeter_presentation
 from hyperforge.toddcox import todd_coxeter, perm_image
 
@@ -82,9 +83,9 @@ def test_halving_whole_group(simplex_group):
     assert hg.order() == 24
 
 
-def test_parabolic_points(cube_group):
-    assert len(engine.parabolic_points(cube_group, [1, 2])) == 6
-    assert len(engine.parabolic_points(cube_group, [])) == 1
+def test_parabolic_subgroup_points(cube_group):
+    assert len(subgroup_points(cube_group, [1, 2])) == 6
+    assert len(subgroup_points(cube_group, [])) == 1
 
 
 def test_b1_algebraic_matches_combinatorial(cube_group, hemicube):

@@ -8,7 +8,7 @@ from hyperforge.iso import (
     find_isomorphism, isomorphic, automorphism_group, validate_action,
     is_flag_transitive,
 )
-from hyperforge.perms import PermGroup, group_order
+from hyperforge.perms import PermGroup
 
 
 def shuffled_copy(g, seed):
@@ -62,10 +62,10 @@ def test_not_isomorphic_same_counts():
 
 def test_automorphism_group_orders(cube, tetrahedron, triangle,
                                    square_pyramid):
-    assert group_order(automorphism_group(cube)) == 48
-    assert group_order(automorphism_group(tetrahedron)) == 24
-    assert group_order(automorphism_group(triangle)) == 6
-    assert group_order(automorphism_group(square_pyramid)) == 8
+    assert automorphism_group(cube).order() == 48
+    assert automorphism_group(tetrahedron).order() == 24
+    assert automorphism_group(triangle).order() == 6
+    assert automorphism_group(square_pyramid).order() == 8
 
 
 def test_flag_transitivity(cube, square_pyramid):

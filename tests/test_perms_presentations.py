@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hyperforge import errors
 from hyperforge import presentations as pres
 from hyperforge.perms import (
-    perm_mul, perm_order, orbit, mulclose, group_order, subgroup_order,
+    perm_mul, perm_order, orbit, mulclose, subgroup_order, subgroup_points,
     coxeter_matrix, intersection_property, PermGroup,
 )
 from hyperforge.toddcox import todd_coxeter, perm_image
@@ -47,7 +47,7 @@ def a3_group():
 def test_regular_group_orders():
     pg = a3_group()
     assert pg.regular
-    assert group_order(pg) == 24
+    assert pg.order() == 24
     assert subgroup_order(pg, [0, 1]) == 6
     assert subgroup_order(pg, [0, 2]) == 4
     assert subgroup_order(pg, [1]) == 2
@@ -73,8 +73,14 @@ def test_intersection_property_fails():
 
 def test_nonregular_group_order():
     pg = PermGroup(3, [np.array([1, 0, 2]), np.array([0, 2, 1])])
-    assert group_order(pg) == 6
+    assert pg.order() == 6
     assert subgroup_order(pg, [0]) == 2
+
+
+def test_subgroup_points_needs_a_regular_group():
+    pg = PermGroup(3, [np.array([1, 0, 2]), np.array([0, 2, 1])])
+    with pytest.raises(errors.IncompleteTable):
+        subgroup_points(pg, [0])
 
 
 def test_coxeter_relators():

@@ -1,6 +1,7 @@
 import pytest
 
 from hyperforge import errors
+from hyperforge import geometry as geo
 from hyperforge import toroids
 from hyperforge.perms import coxeter_matrix
 from hyperforge.toddcox import todd_coxeter, perm_image
@@ -76,7 +77,7 @@ def test_build_checks_pass():
     assert pg.order() == 768
     assert g.type_counts() == (16, 48, 48, 16)
     assert coxeter_matrix(pg) == toroids.linear_matrix(3)
-    assert toroids.geometry_diagram_shape(g) \
+    assert geo.buekenhout_diagram(g).shape() \
         == toroids.matrix_shape(toroids.linear_matrix(3))
 
 
