@@ -5,7 +5,7 @@ over the trivial subgroup: points are group elements, point 0 the
 identity, generators act by right multiplication.  In that picture
 
   - the parabolic G_i (all generators but i) is the right-orbit of 0
-    (perms.subgroup_points),
+    (perms.subgroup_mask),
   - right cosets G_i g are the orbits of left multiplication by G_i,
   - left cosets w G_i are the orbits of right multiplication by G_i,
 
@@ -17,7 +17,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import NotAnAction
-from .perms import PermGroup, orbit, require_regular, subgroup_points
+from .perms import PermGroup, orbit, require_regular, subgroup_points, \
+    subgroup_masks
 from . import geometry as geo
 
 
@@ -113,6 +114,73 @@ def coset_geometry(pg):
                            provenance={"kind": "coset_geometry"})
     g.coset_data = CosetGeometryData(pg, labels_by_type, offsets)
     return g
+
+
+def tits_condition(pg):
+    """Flag-transitivity of the coset geometry of a C-group.
+
+    Tits' coset-product condition (Buekenhout-Cohen, Diagram Geometry,
+    2013, Thm 1.8.10): for every type set J and every i not in J,
+    (cap_{j in J} G_j) G_i = cap_{j in J} (G_j G_i).  With the
+    intersection property the left intersection is <rho_k : k not in
+    J>.  A product A G_i is the union of the left cosets a G_i, which
+    are the orbits of right multiplication by G_i, so it is the mask
+    of the points whose orbit label occurs in A.  (Inverting both sides
+    gives the same condition for the right cosets of coset_geometry.)
+    The condition holds trivially for |J| <= 1.
+    """
+    require_regular(pg)
+    r = pg.ngens
+    full = (1 << r) - 1
+    masks = subgroup_masks(pg)
+    for i in range(r):
+        labs, nlabs = orbit_labels([pg.gens[k] for k in range(r) if k != i],
+                                   pg.degree)
+
+        def times_gi(mask):
+            hit = np.zeros(nlabs, dtype=bool)
+            hit[labs[mask]] = True
+            return hit[labs]
+
+        prods = {j: times_gi(masks[full & ~(1 << j)])
+                 for j in range(r) if j != i}
+        for J in range(1 << r):
+            js = [j for j in range(r) if J >> j & 1]
+            if J >> i & 1 or len(js) < 2:
+                continue
+            meet = np.logical_and.reduce([prods[j] for j in js])
+            if not np.array_equal(times_gi(masks[full & ~J]), meet):
+                return False
+    return True
+
+
+def coset_diagram(g):
+    """Buekenhout diagram of a flag-transitive coset geometry from one
+    rank-2 residue per type pair.
+
+    The residue of cotype {i,j} is taken at the base chamber (the
+    cosets G_t holding the identity) with its i- and j-elements
+    removed.  Flag-transitivity makes every residue of that cotype
+    isomorphic to it.  Its multiplicity counts the flags of cotype
+    {i,j}, |G : <rho_i, rho_j>| by the intersection property, where
+    geometry.buekenhout_diagram counts distinct residues, which can be
+    fewer; the labels and the shape are the same.
+    """
+    data = g.coset_data
+    pg = data.pg
+    base = [int(data.labels_by_type[t][0] + data.offsets[t])
+            for t in range(g.rank)]
+    entries = {}
+    for i in range(g.rank):
+        for j in range(i + 1, g.rank):
+            flag = [base[t] for t in range(g.rank) if t not in (i, j)]
+            cand = geo.flag_candidates(g, flag)
+            pts = [x for x in cand if g.type_of[x] == i]
+            lns = [x for x in cand if g.type_of[x] == j]
+            lab = geo.rank2_label(g, pts, lns)
+            count = pg.degree // len(subgroup_points(pg, (i, j)))
+            entries[(i, j)] = ((lab, count),)
+    return geo.BuekenhoutDiagram(g.rank, entries)
 
 
 def natural_action(g):

@@ -193,16 +193,29 @@ def enumerate_chambers(g, max_flags=DEFAULT_MAX_FLAGS):
     return chambers
 
 
-def is_geometry(g, max_flags=DEFAULT_MAX_FLAGS):
-    """True when every maximal flag is a chamber."""
-    ok = [True]
+def _scan_geometry(g, visit, max_flags=DEFAULT_MAX_FLAGS):
+    """_scan_flags that also checks, in the same walk, that g is a
+    geometry: no type is empty and every maximal flag is a chamber.
+    Raises NotAGeometry after the scan when it is not."""
+    ok = [all(c > 0 for c in g.type_counts())]
 
-    def visit(flag, cand):
+    def check(flag, cand):
         if not cand and len(flag) < g.rank:
             ok[0] = False
+        visit(flag, cand)
 
-    _scan_flags(g, visit, max_flags)
-    return ok[0] and all(c > 0 for c in g.type_counts())
+    _scan_flags(g, check, max_flags)
+    if not ok[0]:
+        raise NotAGeometry("input is not a geometry")
+
+
+def is_geometry(g, max_flags=DEFAULT_MAX_FLAGS):
+    """True when every maximal flag is a chamber."""
+    try:
+        _scan_geometry(g, lambda flag, cand: None, max_flags)
+    except NotAGeometry:
+        return False
+    return True
 
 
 def _connected_subset(g, elems):
@@ -228,8 +241,6 @@ def is_connected(g):
 
 def is_residually_connected(g, max_flags=DEFAULT_MAX_FLAGS):
     """Every residue of rank >= 2 (corank >= 2 flags, incl. empty) connected."""
-    if not is_geometry(g, max_flags):
-        raise NotAGeometry("input is not a geometry")
     memo = {}
     ok = [True]
 
@@ -244,25 +255,23 @@ def is_residually_connected(g, max_flags=DEFAULT_MAX_FLAGS):
         if not verdict:
             ok[0] = False
 
-    _scan_flags(g, visit, max_flags)
+    _scan_geometry(g, visit, max_flags)
     return ok[0]
 
 
 def is_thin(g, max_flags=DEFAULT_MAX_FLAGS):
     """Every corank-1 flag extends in exactly two ways."""
-    if not is_geometry(g, max_flags):
-        raise NotAGeometry("input is not a geometry")
     ok = [True]
 
     def visit(flag, cand):
         if len(flag) == g.rank - 1 and len(cand) != 2:
             ok[0] = False
 
-    _scan_flags(g, visit, max_flags)
+    _scan_geometry(g, visit, max_flags)
     return ok[0]
 
 
-def _rank2_label(g, points, lines):
+def rank2_label(g, points, lines):
     """(gonality, point diameter, line diameter) of a rank-2 residue.
 
     Computed by BFS on the bipartite incidence graph; gonality is half
@@ -387,7 +396,7 @@ def buekenhout_diagram(g, max_flags=DEFAULT_MAX_FLAGS):
                 if key in done:
                     continue
                 done.add(key)
-                lab = _rank2_label(g, pts, lns)
+                lab = rank2_label(g, pts, lns)
                 seen[lab] = seen.get(lab, 0) + 1
             entries[(i, j)] = tuple(sorted(seen.items()))
     return BuekenhoutDiagram(g.rank, entries)
@@ -427,16 +436,29 @@ def to_json(g):
     return json.dumps(data, sort_keys=True, indent=1) + "\n"
 
 
+def _json_int(value, what):
+    """value when it is an int (bool is not), else InvalidParams."""
+    if type(value) is not int:
+        raise InvalidParams("malformed geometry JSON: %s %r is not an"
+                            " integer" % (what, value))
+    return value
+
+
 def from_json(text):
     """Inverse of to_json; malformed input raises InvalidParams."""
     try:
         data = json.loads(text)
-        elems = sorted(data["elements"], key=lambda d: d["id"])
-        if [d["id"] for d in elems] != list(range(len(elems))):
+        rank = _json_int(data["rank"], "rank")
+        elems = [(_json_int(d["id"], "element id"),
+                  _json_int(d["type"], "type id")) for d in data["elements"]]
+        elems.sort()
+        if [e for e, _ in elems] != list(range(len(elems))):
             raise UnknownElement("element ids must be dense 0..m-1")
-        types = [d["type"] for d in elems]
-        pairs = [(x, y) for x, y in data["incidences"]]
-        return build_geometry(data["rank"], types, pairs,
+        types = [t for _, t in elems]
+        pairs = [(_json_int(x, "incidence end"),
+                  _json_int(y, "incidence end"))
+                 for x, y in data["incidences"]]
+        return build_geometry(rank, types, pairs,
                               provenance=data.get("provenance"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParams("malformed geometry JSON: %r" % (exc,))

@@ -3,8 +3,9 @@
 A PermGroup built from coset enumeration over the trivial subgroup is
 regular: points are the group elements, generators act by right
 multiplication, and point 0 is the identity.  That representation
-makes subgroup orders and subgroup intersections plain orbit and set
-computations, which is how all the heavy checks below work.
+makes a subgroup a boolean point mask (the orbit of the identity) and
+subgroup intersections plain mask operations, which is how all the
+heavy checks below work.
 """
 
 from math import lcm
@@ -107,10 +108,32 @@ def require_regular(pg):
         raise IncompleteTable("regular representation required")
 
 
+def subgroup_mask(pg, subset):
+    """Boolean point mask of <gens[i] : i in subset> in a regular
+    PermGroup: the orbit of the identity, one breadth-first level per
+    numpy step."""
+    require_regular(pg)
+    gens = [pg.gens[i] for i in subset]
+    mask = np.zeros(pg.degree, dtype=bool)
+    mask[0] = True
+    level = np.zeros(1, dtype=np.int64)
+    while level.size and gens:
+        q = np.concatenate([g[level] for g in gens])
+        level = np.unique(q[~mask[q]])
+        mask[level] = True
+    return mask
+
+
+def subgroup_masks(pg):
+    """subgroup_mask of every generator subset; the subset is the bit
+    set of the list index."""
+    return [subgroup_mask(pg, [i for i in range(pg.ngens) if s >> i & 1])
+            for s in range(1 << pg.ngens)]
+
+
 def subgroup_points(pg, subset):
     """Element set of <gens[i] : i in subset> in a regular PermGroup."""
-    require_regular(pg)
-    return orbit(0, [pg.gens[i] for i in subset])
+    return np.flatnonzero(subgroup_mask(pg, subset))
 
 
 def subgroup_order(pg, subset):
@@ -135,23 +158,36 @@ def coxeter_matrix(pg):
     return tuple(tuple(row) for row in mat)
 
 
+def involutions(pg):
+    """True when every generator has order exactly 2."""
+    ident = np.arange(pg.degree)
+    return all(not np.array_equal(g, ident) and np.array_equal(g[g], ident)
+               for g in pg.gens)
+
+
 def intersection_property(pg):
     """<I> cap <J> = <I cap J> for all generator subsets I, J."""
     n = pg.ngens
     if pg.regular:
-        def closure(subset):
-            return frozenset(int(v) for v in subgroup_points(pg, subset))
+        sets = subgroup_masks(pg)
+
+        def meets_in(a, b, c):
+            return np.array_equal(a & b, c)
     else:
         if pg.order() > MULCLOSE_LIMIT:
             raise SizeLimitExceeded("order %d too large" % pg.order())
+        # mulclose gives () for no generators; <> is the identity
+        sets = [frozenset(mulclose([pg.gens[i] for i in range(n)
+                                    if mask >> i & 1], MULCLOSE_LIMIT))
+                if mask else frozenset([tuple(range(pg.degree))])
+                for mask in range(1 << n)]
 
-        def closure(subset):
-            return frozenset(mulclose([pg.gens[i] for i in subset],
-                                      MULCLOSE_LIMIT))
-    sets = [closure([i for i in range(n) if mask >> i & 1])
-            for mask in range(1 << n)]
+        def meets_in(a, b, c):
+            return a & b == c
     for a in range(1 << n):
-        for b in range(a, 1 << n):
-            if sets[a] & sets[b] != sets[a & b]:
+        for b in range(a + 1, 1 << n):
+            # nested subsets meet in the smaller one
+            if a & b not in (a, b) and \
+                    not meets_in(sets[a], sets[b], sets[a & b]):
                 return False
     return True

@@ -20,6 +20,9 @@ except ImportError:  # pragma: no cover
     _tccore = None
 
 DEFAULT_MAX_COSETS = 5 * 10 ** 6
+# the compiled kernel numbers cosets with C ints; both backends keep
+# this bound so that they accept the same limits
+MAX_COSETS_BOUND = 2 ** 31 - 1
 
 
 def default_max_cosets():
@@ -84,6 +87,9 @@ def todd_coxeter(p, subgens=(), max_cosets=None, backend=None):
         max_cosets = default_max_cosets()
     if max_cosets < 1:
         raise InvalidParams("max_cosets must be positive")
+    if max_cosets > MAX_COSETS_BOUND:
+        raise InvalidParams("max_cosets must be at most %d"
+                            % MAX_COSETS_BOUND)
     subgens = [tuple(int(x) for x in w) for w in subgens]
     for w in subgens:
         if any(x < 0 or x >= p.ngens for x in w):

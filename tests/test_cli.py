@@ -176,3 +176,32 @@ def test_bad_max_cosets_environment(tmp_path, monkeypatch, capsys):
     assert run(["build", "toroid", "--n", "3", "--k", "2", "--s", "2",
                 "-o", str(tmp_path / "unused.json")]) == 2
     assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_check_geometry_with_float_type_id(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"rank": 1, "elements": [{"id": 0,
+                                                        "type": 0.0}],
+                               "incidences": []}))
+    assert run(["check", str(bad), "--props", "geom"]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+@pytest.fixture()
+def a2_file(tmp_path):
+    pfile = tmp_path / "pres.json"
+    pfile.write_text(pres.to_json(pres.coxeter_presentation(
+        ((1, 3), (3, 1)))))
+    return pfile
+
+
+def test_max_cosets_above_int32(a2_file, capsys):
+    assert run(["--max-cosets", "2147483648", "enumerate",
+                "--presentation", str(a2_file)]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_max_cosets_environment_above_int32(a2_file, monkeypatch, capsys):
+    monkeypatch.setenv("HYPERFORGE_MAX_COSETS", "2147483648")
+    assert run(["enumerate", "--presentation", str(a2_file)]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")

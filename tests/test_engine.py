@@ -6,7 +6,7 @@ from hyperforge import errors
 from hyperforge import geometry as geo
 from hyperforge.constructions import check_B1, check_B2
 from hyperforge.iso import isomorphic, is_flag_transitive
-from hyperforge.perms import subgroup_points
+from hyperforge.perms import orbit, subgroup_points
 from hyperforge.presentations import coxeter_presentation
 from hyperforge.toddcox import todd_coxeter, perm_image
 
@@ -86,6 +86,12 @@ def test_halving_whole_group(simplex_group):
 def test_parabolic_subgroup_points(cube_group):
     assert len(subgroup_points(cube_group, [1, 2])) == 6
     assert len(subgroup_points(cube_group, [])) == 1
+    # the mask BFS against the orbit of the identity
+    for mask in range(1 << cube_group.ngens):
+        subset = [i for i in range(cube_group.ngens) if mask >> i & 1]
+        assert np.array_equal(subgroup_points(cube_group, subset),
+                              orbit(0, [cube_group.gens[i]
+                                        for i in subset]))
 
 
 def test_b1_algebraic_matches_combinatorial(cube_group, hemicube):

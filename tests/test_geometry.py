@@ -100,6 +100,8 @@ def test_non_geometry_detected():
     assert not geo.is_geometry(g)
     with pytest.raises(errors.NotAGeometry):
         geo.is_thin(g)
+    with pytest.raises(errors.NotAGeometry):
+        geo.is_residually_connected(g)
 
 
 def test_relabel_types(cube):
@@ -120,6 +122,19 @@ def test_from_json_rejects_sparse_ids():
     with pytest.raises(errors.UnknownElement):
         geo.from_json('{"rank": 1, "elements": [{"id": 1, "type": 0}],'
                       ' "incidences": []}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"rank": 1, "elements": [{"id": 0, "type": 0.0}], "incidences": []}',
+    '{"rank": 1, "elements": [{"id": 0, "type": true}], "incidences": []}',
+    '{"rank": 1, "elements": [{"id": 0.0, "type": 0}], "incidences": []}',
+    '{"rank": 2.0, "elements": [{"id": 0, "type": 0}], "incidences": []}',
+    '{"rank": 2, "elements": [{"id": 0, "type": 0}, {"id": 1, "type": 1}],'
+    ' "incidences": [[0, 1.0]]}',
+])
+def test_from_json_rejects_non_integer_ids(text):
+    with pytest.raises(errors.InvalidParams):
+        geo.from_json(text)
 
 
 def test_flag_limit(cube):

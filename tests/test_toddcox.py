@@ -53,6 +53,13 @@ def test_overflow():
         todd_coxeter(B3, max_cosets=0)
 
 
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_max_cosets_bounded_by_int32(backend):
+    # the same contract whether or not the compiled kernel is built
+    with pytest.raises(errors.InvalidParams, match="2147483647"):
+        todd_coxeter(A3, max_cosets=2 ** 31, backend=backend)
+
+
 def test_invalid_subgroup_word():
     with pytest.raises(errors.InvalidParams):
         todd_coxeter(A3, subgens=[(7,)])

@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from hyperforge import errors
@@ -79,6 +81,14 @@ def test_build_checks_pass():
     assert coxeter_matrix(pg) == toroids.linear_matrix(3)
     assert geo.buekenhout_diagram(g).shape() \
         == toroids.matrix_shape(toroids.linear_matrix(3))
+
+
+def test_certificate_is_logged(caplog):
+    with caplog.at_level(logging.DEBUG, logger="hyperforge"):
+        toroids.build_cubic_toroid(toroids.ToroidParams(3, 2, 2))
+    msg, = [r.getMessage() for r in caplog.records]
+    assert msg.startswith("toroid ToroidParams(n=3, k=2, s=2): "
+                          "C-group + Tits, order 768, ")
 
 
 def test_halved_presentation_order():
