@@ -1,19 +1,6 @@
-import sys
-
 from setuptools import setup, Extension
 
-# The compiled coset-enumeration kernel is optional: the package falls back
-# to the pure-Python implementation when the extension is missing.
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("hyperforge._tccore", ["src/hyperforge/_tccore.pyx"])],
-        language_level=3,
-    )
-except Exception as exc:  # pragma: no cover
-    print("cython unavailable, building without compiled kernel: %s" % exc,
-          file=sys.stderr)
-
-setup(ext_modules=ext_modules)
+# The compiled coset-enumeration kernel is optional: without a C compiler
+# the build skips it and the package uses the pure-Python kernel.
+setup(ext_modules=[Extension("hyperforge._tccore",
+                             ["src/hyperforge/_tccore.c"], optional=True)])

@@ -8,8 +8,8 @@ every relator from every live coset without defining anything, then
 the table is compacted in first-definition order; the surviving
 numbering is therefore deterministic.
 
-The compiled kernel in _tccore mirrors this file statement for
-statement; keep the two in sync.
+The compiled kernel, the hand-written C extension _tccore.c, mirrors
+this file statement for statement; keep the two in sync.
 """
 
 UNDEF = -1
@@ -194,6 +194,7 @@ def enumerate_cosets(ngens, relators, subgens, max_cosets):
             st.lookahead(relators)
             c = st.compact(c)
             next_la = len(st.rep) + max(st.nlive, LOOKAHEAD_SLACK)
+            continue
         if st.rep[c] != c:
             c += 1
             continue
@@ -202,7 +203,9 @@ def enumerate_cosets(ngens, relators, subgens, max_cosets):
             st.lookahead(relators)
             c = st.compact(c)
             next_la = len(st.rep) + max(st.nlive, LOOKAHEAD_SLACK)
-            if st.rep[c] == c and not process(c):
+            # every row is live after compact(); c is past the last one
+            # when the lookahead merged away c and all cosets after it
+            if c < len(st.rep) and not process(c):
                 return None
         c += 1
 

@@ -454,6 +454,11 @@ def from_json(text):
         elems.sort()
         if [e for e, _ in elems] != list(range(len(elems))):
             raise UnknownElement("element ids must be dense 0..m-1")
+        # more types than elements leaves one empty; refusing that also
+        # keeps type_counts() as small as the document
+        if not 0 <= rank <= len(elems):
+            raise InvalidParams("malformed geometry JSON: rank %d with %d"
+                                " elements" % (rank, len(elems)))
         types = [t for _, t in elems]
         pairs = [(_json_int(x, "incidence end"),
                   _json_int(y, "incidence end"))

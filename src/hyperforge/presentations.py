@@ -13,6 +13,11 @@ from .errors import InvalidParams
 class GroupPresentation:
 
     def __init__(self, ngens, relators):
+        # the enumeration kernels size every table row by ngens
+        if isinstance(ngens, bool) or not isinstance(ngens, int) \
+                or ngens < 1:
+            raise InvalidParams("ngens must be a positive integer, not %r"
+                                % (ngens,))
         self.ngens = ngens
         rels = []
         for w in relators:
@@ -68,6 +73,14 @@ def from_json(text):
     """Inverse of to_json; malformed input raises InvalidParams."""
     try:
         data = json.loads(text)
-        return GroupPresentation(data["ngens"], data["relators"])
+        ngens = data["ngens"]
+        relators = [list(w) for w in data["relators"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParams("malformed presentation JSON: %r" % (exc,))
+    # exact type test: a float or a bool (an int subclass) is refused,
+    # not truncated to a generator index
+    for value in [ngens] + [x for w in relators for x in w]:
+        if type(value) is not int:
+            raise InvalidParams("malformed presentation JSON: %r is not an"
+                                " integer" % (value,))
+    return GroupPresentation(ngens, relators)

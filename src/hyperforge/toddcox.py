@@ -1,9 +1,10 @@
 """Coset enumeration front end.
 
-Picks the compiled kernel when the extension built, otherwise the
-pure-Python one; both produce identical tables.  Completed tables are
-verified by replaying every relator from every coset and every
-subgroup word from coset 0.
+Picks the compiled kernel (_tccore.c, a C extension built when a C
+compiler is present) when it is importable, otherwise the pure-Python
+one (_tcpure.py), which it mirrors; both produce identical tables.
+Completed tables are verified by replaying every relator from every
+coset and every subgroup word from coset 0.
 """
 
 import os

@@ -1,9 +1,15 @@
+import importlib.util
 import itertools
+import pathlib
+import shlex
+import shutil
+import subprocess
+import sysconfig
 
 import pytest
 
 from hyperforge import geometry as geo
-from hyperforge import engine, toroids
+from hyperforge import engine, toddcox, toroids
 from hyperforge.presentations import coxeter_presentation
 from hyperforge.toddcox import todd_coxeter, perm_image
 
@@ -122,3 +128,32 @@ def toroid_314():
 def hemicube():
     pg = hemicube_group()
     return pg, engine.coset_geometry(pg)
+
+
+TCCORE_C = (pathlib.Path(__file__).resolve().parents[1]
+            / "src" / "hyperforge" / "_tccore.c")
+
+
+@pytest.fixture(scope="session")
+def tccore_module(tmp_path_factory):
+    """hyperforge._tccore compiled from _tccore.c with the interpreter's
+    C compiler into a temporary directory; skips when there is none."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler")
+    out = (tmp_path_factory.mktemp("tccore")
+           / ("_tccore" + sysconfig.get_config_var("EXT_SUFFIX")))
+    subprocess.run(cc + ["-shared", "-fPIC", "-O2",
+                         "-I", sysconfig.get_paths()["include"],
+                         str(TCCORE_C), "-o", str(out)], check=True)
+    spec = importlib.util.spec_from_file_location("hyperforge._tccore", out)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture()
+def compiled_kernel(tccore_module, monkeypatch):
+    """The compiled kernel, seen by toddcox as its _tccore."""
+    monkeypatch.setattr(toddcox, "_tccore", tccore_module)
+    return tccore_module

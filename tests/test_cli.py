@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hyperforge import cli
 from hyperforge import geometry as geo
@@ -148,9 +149,19 @@ def test_check_geometry_without_elements(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("usage error:")
 
 
-def test_enumerate_presentation_without_relators(tmp_path, capsys):
+@pytest.mark.parametrize("doc", [
+    {"ngens": 3},
+    {"ngens": 0, "relators": []},
+    {"ngens": -1, "relators": []},
+    {"ngens": 1.5, "relators": [[0, 0]]},
+    {"ngens": True, "relators": [[0, 0]]},
+    {"ngens": 2, "relators": [[0, 1.7]]},
+    {"ngens": 2, "relators": [[True, 1]]},
+], ids=["no-relators", "zero-gens", "negative-gens", "float-gens",
+        "bool-gens", "float-letter", "bool-letter"])
+def test_enumerate_presentation_without_relators(tmp_path, capsys, doc):
     pfile = tmp_path / "pres.json"
-    pfile.write_text(json.dumps({"ngens": 3}))
+    pfile.write_text(json.dumps(doc))
     assert run(["enumerate", "--presentation", str(pfile)]) == 2
     assert capsys.readouterr().err.startswith("usage error:")
 
@@ -205,3 +216,46 @@ def test_max_cosets_environment_above_int32(a2_file, monkeypatch, capsys):
     monkeypatch.setenv("HYPERFORGE_MAX_COSETS", "2147483648")
     assert run(["enumerate", "--presentation", str(a2_file)]) == 2
     assert capsys.readouterr().err.startswith("usage error:")
+
+
+# Small ints only: a presentation's ngens sets the width of every coset
+# table row, so a drawn ngens of 10**8 would allocate gigabytes.
+SCALARS = (st.none() | st.booleans() | st.integers(-2, 6)
+           | st.floats(allow_nan=False) | st.text(max_size=3))
+JSON = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.text(max_size=3), inner,
+                                      max_size=3), max_leaves=8)
+GEOMETRIES = st.fixed_dictionaries(
+    {"rank": JSON | st.integers(),
+     "elements": st.lists(st.fixed_dictionaries({"id": JSON,
+                                                 "type": JSON}) | JSON,
+                          max_size=4) | JSON,
+     "incidences": st.lists(st.lists(JSON, max_size=3), max_size=4)
+     | JSON},
+    optional={"provenance": JSON})
+PRESENTATIONS = st.fixed_dictionaries(
+    {"ngens": JSON,
+     "relators": st.lists(st.lists(JSON, max_size=4), max_size=3) | JSON})
+COMMANDS = [
+    ["check", "{}", "--props", "geom"],
+    ["--max-cosets", "64", "enumerate", "--presentation", "{}"],
+    ["build", "file", "--input", "{}"],
+]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=JSON | GEOMETRIES | PRESENTATIONS,
+       command=st.sampled_from(COMMANDS))
+@example(doc={"ngens": 0, "relators": []}, command=COMMANDS[1])
+@example(doc={"ngens": -1, "relators": []}, command=COMMANDS[1])
+@example(doc={"ngens": 1.5, "relators": [[0, 0]]}, command=COMMANDS[1])
+@example(doc={"rank": 10 ** 12, "elements": [], "incidences": []},
+         command=COMMANDS[0])
+def test_loaders_exit_with_a_code_on_any_json(tmp_path, capsys, doc,
+                                               command):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code = run([arg.format(path) for arg in command])
+    assert code in (0, 1, 2, 3)
+    capsys.readouterr()

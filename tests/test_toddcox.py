@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hyperforge import errors
 from hyperforge.presentations import GroupPresentation, coxeter_presentation
 from hyperforge.toddcox import (
-    todd_coxeter, perm_image, backend_name, default_max_cosets,
-    DEFAULT_MAX_COSETS,
+    todd_coxeter, perm_image, default_max_cosets, DEFAULT_MAX_COSETS,
 )
 from hyperforge.toroids import ToroidParams, cubic_toroid_presentation
 
@@ -54,8 +54,9 @@ def test_overflow():
 
 
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
-def test_max_cosets_bounded_by_int32(backend):
-    # the same contract whether or not the compiled kernel is built
+def test_max_cosets_bounded_by_int32(backend, request):
+    if backend == "compiled":
+        request.getfixturevalue("compiled_kernel")
     with pytest.raises(errors.InvalidParams, match="2147483647"):
         todd_coxeter(A3, max_cosets=2 ** 31, backend=backend)
 
@@ -89,19 +90,153 @@ def test_csv_shape():
     B3,
     cubic_toroid_presentation(ToroidParams(3, 2, 2)),
     cubic_toroid_presentation(ToroidParams(3, 1, 3)),
+    # 65,544 rows: runs the periodic lookahead and compaction
+    cubic_toroid_presentation(ToroidParams(4, 1, 3)),
 ])
-def test_backends_agree(pres):
-    if backend_name() != "compiled":
-        pytest.skip("compiled kernel not built")
+def test_backends_agree(pres, compiled_kernel):
     tp = todd_coxeter(pres, backend="pure")
     tc = todd_coxeter(pres, backend="compiled")
     assert np.array_equal(tp.table, tc.table)
 
 
-def test_backends_agree_with_subgroup():
-    if backend_name() != "compiled":
-        pytest.skip("compiled kernel not built")
+def test_compiled_kernel_checks_its_arguments(compiled_kernel):
+    # todd_coxeter validates first; the C kernel still refuses input
+    # that would index outside its table
+    with pytest.raises(ValueError):
+        compiled_kernel.enumerate_cosets(0, [], [], 10)
+    with pytest.raises(ValueError):
+        compiled_kernel.enumerate_cosets(2, [(0, 2)], [], 10)
+    with pytest.raises(ValueError):
+        compiled_kernel.enumerate_cosets(2, [], [(-1,)], 10)
+    with pytest.raises(TypeError):
+        compiled_kernel.enumerate_cosets(2, [(0, 1.5)], [], 10)
+
+
+def test_backends_agree_with_subgroup(compiled_kernel):
     sub = [(1,), (2,)]
     tp = todd_coxeter(A3, subgens=sub, backend="pure")
     tc = todd_coxeter(A3, subgens=sub, backend="compiled")
     assert np.array_equal(tp.table, tc.table)
+
+
+def _irreducible_order(m, comp):
+    """|W| of the Coxeter group on the connected diagram comp, or None
+    when it is infinite (rank <= 4, entries <= 5)."""
+    edges = sorted(m[i][j] for i in comp for j in comp
+                   if i < j and m[i][j] > 2)
+    n = len(comp)
+    if len(edges) != n - 1:
+        return None  # the diagram has a cycle
+    if n <= 2:
+        return 2 * edges[0] if edges else 2  # I2(m) or A1
+    if edges[:-1] != [3] * (n - 2):
+        return None
+    top = edges[-1]
+    if n == 3:
+        return {3: 24, 4: 48, 5: 120}[top]  # A3, B3, H3
+    inner = [i for i in comp
+             if sum(m[i][j] > 2 for j in comp if j != i) >= 2]
+    if len(inner) == 1:
+        return 192 if top == 3 else None  # D4
+    middle = m[inner[0]][inner[1]]
+    if top == 3:
+        return 120  # A4
+    if top == 4:
+        return 1152 if middle == 4 else 384  # F4, B4
+    return None if middle == 5 else 14400  # H4
+
+
+def coxeter_order(m):
+    """|W| for a Coxeter matrix of rank <= 4 with entries 2..5, or None
+    when W is infinite."""
+    comps, seen = [], set()
+    for start in range(len(m)):
+        if start in seen:
+            continue
+        comp, todo = [], [start]
+        seen.add(start)
+        while todo:
+            i = todo.pop()
+            comp.append(i)
+            for j in range(len(m)):
+                if j not in seen and m[i][j] > 2:
+                    seen.add(j)
+                    todo.append(j)
+        comps.append(sorted(comp))
+    order = 1
+    for comp in comps:
+        part = _irreducible_order(m, comp)
+        if part is None:
+            return None
+        order *= part
+    return order
+
+
+@pytest.mark.parametrize("matrix, order", [
+    (((1, 3), (3, 1)), 6),
+    (((1, 2, 2), (2, 1, 2), (2, 2, 1)), 8),
+    (((1, 3, 2), (3, 1, 3), (2, 3, 1)), 24),
+    (((1, 4, 2), (4, 1, 3), (2, 3, 1)), 48),
+    (((1, 5, 2), (5, 1, 3), (2, 3, 1)), 120),
+    (((1, 3, 3), (3, 1, 3), (3, 3, 1)), None),
+    (((1, 3, 2, 2), (3, 1, 3, 3), (2, 3, 1, 2), (2, 3, 2, 1)), 192),
+    (((1, 3, 2, 2), (3, 1, 4, 2), (2, 4, 1, 3), (2, 2, 3, 1)), 1152),
+    (((1, 4, 2, 2), (4, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1)), 384),
+    (((1, 3, 2, 2), (3, 1, 5, 2), (2, 5, 1, 3), (2, 2, 3, 1)), None),
+    (((1, 5, 2, 2), (5, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1)), 14400),
+])
+def test_coxeter_order_oracle(matrix, order):
+    assert coxeter_order(matrix) == order
+    if order is not None:
+        assert todd_coxeter(coxeter_presentation(matrix)).ncosets == order
+
+
+# no coset limit above this for infinite groups, to keep the fuzz fast
+INFINITE_LIMIT = 200
+
+
+@st.composite
+def enumerations(draw):
+    """A Coxeter matrix of rank 2-4 with entries 2-5, an optional extra
+    relator, optional subgroup words and a coset limit."""
+    r = draw(st.integers(2, 4))
+    m = [[1] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            m[i][j] = m[j][i] = draw(st.integers(2, 5))
+    letters = st.integers(0, r - 1)
+    extra = draw(st.lists(st.lists(letters, min_size=1, max_size=8),
+                          max_size=1))
+    subgens = draw(st.lists(st.lists(letters, min_size=1, max_size=4),
+                            max_size=2))
+    order = coxeter_order(m)
+    limit = draw(st.integers(1, (order or INFINITE_LIMIT) + 8))
+    return m, extra, subgens, order, limit
+
+
+def _outcome(pres, subgens, limit, backend):
+    try:
+        return todd_coxeter(pres, subgens=subgens, max_cosets=limit,
+                            backend=backend).table
+    except errors.Overflow:
+        return None
+
+
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(enumerations())
+def test_kernels_agree_on_random_coxeter_quotients(compiled_kernel, case):
+    m, extra, subgens, order, limit = case
+    pres = coxeter_presentation(m, extra=extra)
+    tp = _outcome(pres, subgens, limit, "pure")
+    tc = _outcome(pres, subgens, limit, "compiled")
+    assert (tp is None) == (tc is None)
+    if tp is not None:
+        assert np.array_equal(tp, tc)
+    if order is not None:
+        # a quotient of W by extra relators, and a subgroup of it, have
+        # an index dividing |W|; with neither it is |W|
+        n = todd_coxeter(pres, subgens=subgens, backend="compiled").ncosets
+        assert order % n == 0
+        if not extra and not subgens:
+            assert n == order
