@@ -9,67 +9,34 @@ identity, generators act by right multiplication.  In that picture
   - right cosets G_i g are the orbits of left multiplication by G_i,
   - left cosets w G_i are the orbits of right multiplication by G_i,
 
-which turns every subgroup computation below into orbit bookkeeping.
+which turns every subgroup computation below into orbit bookkeeping
+on the primitives of perms: values carried along bfs_tree, coset
+labels from orbit_labels, incidences and coset maps from label_pairs.
 """
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import NotAnAction
-from .perms import PermGroup, orbit, require_regular, subgroup_points, \
-    subgroup_masks
+from .perms import PermGroup, bfs_tree, label_pairs, orbit_labels, \
+    require_regular, subgroup_points, subgroup_masks
 from . import geometry as geo
 
 
 def left_mult_gens(pg):
     """Left-multiplication permutation of each generator.
 
-    lam[x][w] = point of rho_x * (element at point w), computed by a
-    BFS from the identity: lam(p.y) = lam(p).y.
+    lam[x][w] = point of rho_x * (element at point w), carried along
+    the breadth-first tree from the identity: lam(p.y) = lam(p).y.
     """
     require_regular(pg)
     n = pg.degree
-    lam = [np.full(n, -1, dtype=np.int64) for _ in range(pg.ngens)]
-    for x in range(pg.ngens):
-        lam[x][0] = pg.gens[x][0]
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    level = np.array([0], dtype=np.int64)
-    while level.size:
-        nxt = []
-        for y in range(pg.ngens):
-            q = pg.gens[y][level]
-            fresh = ~seen[q]
-            q = q[fresh]
-            # a point can be reached twice within one wave; keep one
-            q, first = np.unique(q, return_index=True)
-            p = level[fresh][first]
-            seen[q] = True
-            for x in range(pg.ngens):
-                lam[x][q] = pg.gens[y][lam[x][p]]
-            nxt.append(q)
-        level = np.concatenate(nxt)
+    flat = np.concatenate(pg.gens)  # gens[y][v] sits at y * n + v
+    lam = [np.full(n, g[0]) for g in pg.gens]
+    for p, y, q in bfs_tree(pg.gens, n):
+        yn = y * n
+        for lx in lam:
+            lx[q] = flat[yn + lx[p]]
     return lam
-
-
-def orbit_labels(perms, degree):
-    """Connected-component labels of points under the given perms.
-
-    Labels are renumbered in order of first occurrence, so the
-    labelling is deterministic.
-    """
-    if not perms:
-        return np.arange(degree, dtype=np.int64), degree
-    rows = np.concatenate([np.arange(degree)] * len(perms))
-    cols = np.concatenate([np.asarray(p) for p in perms])
-    graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
-                       shape=(degree, degree))
-    _, labels = connected_components(graph, directed=False)
-    _, first = np.unique(labels, return_index=True)
-    remap = np.empty(len(first), dtype=np.int64)
-    remap[labels[np.sort(first)]] = np.arange(len(first))
-    return remap[labels], len(first)
 
 
 class CosetGeometryData:
@@ -103,14 +70,13 @@ def coset_geometry(pg):
     types = []
     for i in range(rank):
         types.extend([i] * counts[i])
-    pairs = set()
+    pairs = []
     for i in range(rank):
         for j in range(i + 1, rank):
-            pij = np.stack([labels_by_type[i] + offsets[i],
-                            labels_by_type[j] + offsets[j]], axis=1)
-            pij = np.unique(pij, axis=0)
-            pairs.update((int(a), int(b)) for a, b in pij)
-    g = geo.build_geometry(rank, types, sorted(pairs),
+            a, b = label_pairs(labels_by_type[i], labels_by_type[j])
+            pairs.extend(zip((a + offsets[i]).tolist(),
+                             (b + offsets[j]).tolist()))
+    g = geo.build_geometry(rank, types, pairs,
                            provenance={"kind": "coset_geometry"})
     g.coset_data = CosetGeometryData(pg, labels_by_type, offsets)
     return g
@@ -212,7 +178,8 @@ def halving_group(pg, leaf):
     gi, gj = pg.gens[i], pg.gens[j]
     new_gens = list(pg.gens)
     new_gens[i] = gi[gj[gi]]
-    pts = orbit(0, new_gens)
+    pts = np.sort(np.concatenate([np.zeros(1, dtype=np.int64)] + [
+        q for _, _, q in bfs_tree(new_gens, pg.degree)]))
     if len(pts) == pg.degree:
         return PermGroup(pg.degree, new_gens, regular=True,
                          order=pg.degree)
@@ -273,11 +240,12 @@ def induced_geometry_map(ga, gb, gen_map, type_map):
 
     ga, gb are coset geometries of regular PermGroups A and B.  The
     correspondence sends generator x of A to generator gen_map[x] of B
-    and type i to type_map[i].  The group homomorphism A -> B fixing
-    the identity and satisfying phi(p.x) = phi(p).gen_map[x] is built
-    point by point and checked for consistency; the element bijection
-    it induces is then checked with geometry.preserves_incidence.  Returns
-    the element map (list) or None when any check fails.
+    and type i to type_map[i].  The map phi(p.x) = phi(p).gen_map[x]
+    fixing the identity is carried along A's breadth-first tree; it is
+    the group isomorphism A -> B when it is a bijection that commutes
+    with every generator.  The element bijection it induces is then
+    checked with geometry.preserves_incidence.  Returns the element
+    map (list) or None when any check fails.
     """
     da = ga.coset_data
     db = gb.coset_data
@@ -285,34 +253,22 @@ def induced_geometry_map(ga, gb, gen_map, type_map):
     if pga.degree != pgb.degree:
         return None
     n = pga.degree
-    phi = np.full(n, -1, dtype=np.int64)
-    phi[0] = 0
-    level = np.array([0], dtype=np.int64)
-    while level.size:
-        nxt = []
-        for x in range(pga.ngens):
-            q = pga.gens[x][level]
-            img = pgb.gens[gen_map[x]][phi[level]]
-            known = phi[q] >= 0
-            if not np.array_equal(phi[q[known]], img[known]):
-                return None
-            qf, first = np.unique(q[~known], return_index=True)
-            phi[qf] = img[~known][first]
-            # duplicates inside one wave must agree with the survivor
-            if not np.array_equal(phi[q[~known]], img[~known]):
-                return None
-            nxt.append(qf)
-        level = np.concatenate(nxt)
-    if np.any(phi < 0) or len(np.unique(phi)) != n:
+    images = [pgb.gens[gen_map[x]] for x in range(pga.ngens)]
+    flat = np.concatenate(images)  # images[y][v] sits at y * n + v
+    # a point the tree misses keeps the identity's 0: no bijection
+    phi = np.zeros(n, dtype=np.int64)
+    for p, y, q in bfs_tree(pga.gens, n):
+        phi[q] = flat[y * n + phi[p]]
+    if np.any(np.bincount(phi, minlength=n) != 1) or not all(
+            np.array_equal(phi[g], h[phi]) for g, h in zip(pga.gens, images)):
         return None
     emap = np.full(ga.nelements, -1, dtype=np.int64)
     for i in range(pga.ngens):
         ti = type_map[i]
-        la = da.labels_by_type[i] + da.offsets[i]
-        lb = db.labels_by_type[ti][phi] + db.offsets[ti]
-        pairs = np.unique(np.stack([la, lb], axis=1), axis=0)
-        if len(pairs) != len(np.unique(pairs[:, 0])):
+        a, b = label_pairs(da.labels_by_type[i], db.labels_by_type[ti][phi])
+        # an A-coset meeting two B-cosets has no single image
+        if np.any(a[1:] == a[:-1]):
             return None
-        emap[pairs[:, 0]] = pairs[:, 1]
+        emap[a + da.offsets[i]] = b + db.offsets[ti]
     emap = emap.tolist()
     return emap if geo.preserves_incidence(ga, gb, emap, type_map) else None

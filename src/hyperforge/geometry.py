@@ -116,6 +116,19 @@ def flag_candidates(g, f):
     return cand
 
 
+def _restrict(g, keep, kept_types):
+    """Sub-geometry on the sorted elements keep, whose types are the
+    sorted list kept_types, re-indexed densely; original ids are kept
+    in labels."""
+    tmap = {t: i for i, t in enumerate(kept_types)}
+    index = {e: i for i, e in enumerate(keep)}
+    types = [tmap[g.type_of[e]] for e in keep]
+    pairs = [(index[x], index[y]) for x in keep for y in g.adj[x]
+             if y in index and x < y]
+    labels = [g.labels[e] if g.labels is not None else e for e in keep]
+    return build_geometry(len(kept_types), types, pairs, labels=labels)
+
+
 def residue(g, f):
     """Sub-geometry on the elements incident to all of flag f.
 
@@ -123,15 +136,8 @@ def residue(g, f):
     original ids are kept in labels.
     """
     f = _check_flag(g, f)
-    cand = sorted(flag_candidates(g, f))
     cotype = sorted(set(range(g.rank)) - {g.type_of[x] for x in f})
-    tmap = {t: i for i, t in enumerate(cotype)}
-    index = {e: i for i, e in enumerate(cand)}
-    types = [tmap[g.type_of[e]] for e in cand]
-    pairs = [(index[x], index[y]) for x in cand for y in g.adj[x]
-             if y in index and x < y]
-    labels = [g.labels[e] if g.labels is not None else e for e in cand]
-    return build_geometry(len(cotype), types, pairs, labels=labels)
+    return _restrict(g, sorted(flag_candidates(g, f)), cotype)
 
 
 def truncation(g, J):
@@ -140,14 +146,9 @@ def truncation(g, J):
     for t in J:
         if not (0 <= t < g.rank):
             raise UnknownElement("type %r" % (t,))
-    tmap = {t: i for i, t in enumerate(J)}
-    keep = [e for e in range(g.nelements) if g.type_of[e] in tmap]
-    index = {e: i for i, e in enumerate(keep)}
-    types = [tmap[g.type_of[e]] for e in keep]
-    pairs = [(index[x], index[y]) for x in keep for y in g.adj[x]
-             if y in index and x < y]
-    labels = [g.labels[e] if g.labels is not None else e for e in keep]
-    return build_geometry(len(J), types, pairs, labels=labels)
+    kept = set(J)
+    return _restrict(g, [e for e in range(g.nelements)
+                         if g.type_of[e] in kept], J)
 
 
 def shadow(g, x, i):
@@ -353,53 +354,44 @@ class BuekenhoutDiagram:
 
     def shape(self):
         """(sorted node degrees, sorted edge gonalities) of the diagram."""
-        edges = self.edge_labels()
-        deg = [0] * self.rank
-        for (i, j) in edges:
-            deg[i] += 1
-            deg[j] += 1
-        return (tuple(sorted(deg)), tuple(sorted(edges.values())))
+        return diagram_shape(self.rank, self.edge_labels())
 
     def __repr__(self):
         return "BuekenhoutDiagram(%r)" % (self.entries,)
 
 
-def _flags_of_type(g, T):
-    """All flags whose type set is exactly T (sorted list of types)."""
-    T = sorted(T)
-    flags = [()]
-    for t in T:
-        elems = g.elements_of_type(t)
-        new = []
-        for f in flags:
-            for e in elems:
-                if all(g.incident(e, x) for x in f):
-                    new.append(f + (e,))
-        flags = new
-    return flags
+def diagram_shape(rank, edges):
+    """(sorted node degrees, sorted labels) of a diagram on rank nodes
+    whose edges are the mapping (i, j) -> label."""
+    deg = [0] * rank
+    for (i, j) in edges:
+        deg[i] += 1
+        deg[j] += 1
+    return (tuple(sorted(deg)), tuple(sorted(edges.values())))
 
 
 def buekenhout_diagram(g, max_flags=DEFAULT_MAX_FLAGS):
-    if not is_geometry(g, max_flags):
-        raise NotAGeometry("input is not a geometry")
-    entries = {}
-    for i in range(g.rank):
-        for j in range(i + 1, g.rank):
-            cotype = [t for t in range(g.rank) if t not in (i, j)]
-            seen = {}
-            done = set()
-            for f in _flags_of_type(g, cotype):
-                cand = flag_candidates(g, f)
-                pts = frozenset(x for x in cand if g.type_of[x] == i)
-                lns = frozenset(x for x in cand if g.type_of[x] == j)
-                key = (pts, lns)
-                if key in done:
-                    continue
-                done.add(key)
-                lab = rank2_label(g, pts, lns)
-                seen[lab] = seen.get(lab, 0) + 1
-            entries[(i, j)] = tuple(sorted(seen.items()))
-    return BuekenhoutDiagram(g.rank, entries)
+    """Labels of every rank-2 residue, collected in one flag scan: a
+    flag of corank 2 names its type pair, and residues with the same
+    points and lines are counted once."""
+    seen = {(i, j): {} for i in range(g.rank) for j in range(i + 1, g.rank)}
+    done = set()
+
+    def visit(flag, cand):
+        if len(flag) != g.rank - 2:
+            return
+        i, j = sorted(set(range(g.rank)) - {g.type_of[x] for x in flag})
+        pts = frozenset(x for x in cand if g.type_of[x] == i)
+        lns = frozenset(x for x in cand if g.type_of[x] == j)
+        key = (i, j, pts, lns)
+        if key not in done:
+            done.add(key)
+            lab = rank2_label(g, pts, lns)
+            seen[(i, j)][lab] = seen[(i, j)].get(lab, 0) + 1
+
+    _scan_geometry(g, visit, max_flags)
+    return BuekenhoutDiagram(g.rank, {pair: tuple(sorted(labs.items()))
+                                      for pair, labs in seen.items()})
 
 
 def preserves_incidence(ga, gb, element_map, type_map):

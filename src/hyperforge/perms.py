@@ -6,11 +6,18 @@ multiplication, and point 0 is the identity.  That representation
 makes a subgroup a boolean point mask (the orbit of the identity) and
 subgroup intersections plain mask operations, which is how all the
 heavy checks below work.
+
+Every walk over the points of a regular group, here and in engine,
+runs on three array primitives: bfs_tree, orbit_labels and
+label_pairs.  orbit, a Python walk, is the tests' reference; mulclose
+serves groups that are not regular.
 """
 
 from math import lcm
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import SizeLimitExceeded, IncompleteTable
 
@@ -48,20 +55,9 @@ def perm_mul(a, b):
 
 
 def perm_order(p):
-    n = len(p)
-    seen = np.zeros(n, dtype=bool)
-    result = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = int(p[x])
-            length += 1
-        result = lcm(result, length)
-    return result
+    """Order of a permutation: the lcm of its cycle lengths."""
+    labels, _ = orbit_labels([p], len(p))
+    return lcm(*np.unique(np.bincount(labels)).tolist())
 
 
 def orbit(point, gens):
@@ -76,6 +72,60 @@ def orbit(point, gens):
                 seen.add(y)
                 todo.append(y)
     return np.array(sorted(seen), dtype=np.int64)
+
+
+def bfs_tree(gens, degree):
+    """Breadth-first tree of the orbit of point 0 under gens.
+
+    Yields one level at a time as arrays (p, y, q) with
+    q = gens[y][p]: the tree edge from the point p, reached earlier, to
+    the new point q.  Every point of the orbit but 0 appears once as a
+    q.
+    """
+    seen = np.zeros(degree, dtype=bool)
+    seen[0] = True
+    slot = np.empty(degree, dtype=np.int64)
+    level = np.zeros(1, dtype=np.int64)
+    while level.size and gens:
+        q = np.concatenate([g[level] for g in gens])
+        fresh = np.flatnonzero(~seen[q])
+        q = q[fresh]
+        # a point reached twice in one level keeps the one edge whose
+        # write to its slot survived
+        slot[q] = fresh
+        keep = slot[q] == fresh
+        q = q[keep]
+        y, p = np.divmod(fresh[keep], level.size)
+        seen[q] = True
+        yield level[p], y, q
+        level = q
+
+
+def orbit_labels(perms, degree):
+    """Connected-component labels of points under the given perms.
+
+    Labels are renumbered in order of first occurrence, so the
+    labelling is deterministic.
+    """
+    if not perms:
+        return np.arange(degree, dtype=np.int64), degree
+    rows = np.concatenate([np.arange(degree)] * len(perms))
+    cols = np.concatenate([np.asarray(p) for p in perms])
+    graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
+                       shape=(degree, degree))
+    _, labels = connected_components(graph, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    remap = np.empty(len(first), dtype=np.int64)
+    remap[labels[np.sort(first)]] = np.arange(len(first))
+    return remap[labels], len(first)
+
+
+def label_pairs(a, b):
+    """The distinct pairs (a[w], b[w]) of two labellings of the same
+    points by non-negative ints, as two arrays sorted by (a, b)."""
+    m = int(b.max()) + 1
+    codes = np.unique(a * m + b)
+    return codes // m, codes % m
 
 
 def mulclose(gens, limit):
@@ -110,17 +160,12 @@ def require_regular(pg):
 
 def subgroup_mask(pg, subset):
     """Boolean point mask of <gens[i] : i in subset> in a regular
-    PermGroup: the orbit of the identity, one breadth-first level per
-    numpy step."""
+    PermGroup: the orbit of the identity."""
     require_regular(pg)
-    gens = [pg.gens[i] for i in subset]
     mask = np.zeros(pg.degree, dtype=bool)
     mask[0] = True
-    level = np.zeros(1, dtype=np.int64)
-    while level.size and gens:
-        q = np.concatenate([g[level] for g in gens])
-        level = np.unique(q[~mask[q]])
-        mask[level] = True
+    for _, _, q in bfs_tree([pg.gens[i] for i in subset], pg.degree):
+        mask[q] = True
     return mask
 
 

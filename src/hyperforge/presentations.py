@@ -9,15 +9,20 @@ import json
 
 from .errors import InvalidParams
 
+# A coset table row is ngens entries wide and the kernels allocate rows
+# before the coset limit trips (the compiled one 1024 up front); at 1024
+# generators that first block is 4 MB.  A rank-r geometry needs r.
+MAX_NGENS = 1024
+
 
 class GroupPresentation:
 
     def __init__(self, ngens, relators):
         # the enumeration kernels size every table row by ngens
         if isinstance(ngens, bool) or not isinstance(ngens, int) \
-                or ngens < 1:
-            raise InvalidParams("ngens must be a positive integer, not %r"
-                                % (ngens,))
+                or not 1 <= ngens <= MAX_NGENS:
+            raise InvalidParams("ngens must be an integer in 1..%d, not %r"
+                                % (MAX_NGENS, ngens))
         self.ngens = ngens
         rels = []
         for w in relators:

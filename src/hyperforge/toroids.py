@@ -20,6 +20,7 @@ from .errors import InvalidParams, UnsupportedCase, PropertyViolation, \
 from .presentations import GroupPresentation, coxeter_presentation, \
     relator_parity_bipartite
 from .toddcox import todd_coxeter, perm_image
+from .geometry import diagram_shape
 from .perms import coxeter_matrix, intersection_property, involutions
 from . import engine
 from . import constructions as cons
@@ -261,15 +262,8 @@ def matrix_shape(m):
     """(sorted node degrees, sorted labels) of the diagram edges with
     label above 2."""
     rank = len(m)
-    degrees = [0] * rank
-    labels = []
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            if m[i][j] > 2:
-                degrees[i] += 1
-                degrees[j] += 1
-                labels.append(m[i][j])
-    return tuple(sorted(degrees)), tuple(sorted(labels))
+    return diagram_shape(rank, {(i, j): m[i][j] for i in range(rank)
+                                for j in range(i + 1, rank) if m[i][j] > 2})
 
 
 def _certify(pg, g, context, expected=None):

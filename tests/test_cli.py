@@ -157,8 +157,13 @@ def test_check_geometry_without_elements(tmp_path, capsys):
     {"ngens": True, "relators": [[0, 0]]},
     {"ngens": 2, "relators": [[0, 1.7]]},
     {"ngens": 2, "relators": [[True, 1]]},
+    # letter MAX_NGENS is out of range at the bound and in range above
+    # it, where the bound alone refuses the document
+    {"ngens": pres.MAX_NGENS, "relators": [[pres.MAX_NGENS]]},
+    {"ngens": pres.MAX_NGENS + 1, "relators": [[pres.MAX_NGENS]]},
 ], ids=["no-relators", "zero-gens", "negative-gens", "float-gens",
-        "bool-gens", "float-letter", "bool-letter"])
+        "bool-gens", "float-letter", "bool-letter", "max-gens",
+        "too-many-gens"])
 def test_enumerate_presentation_without_relators(tmp_path, capsys, doc):
     pfile = tmp_path / "pres.json"
     pfile.write_text(json.dumps(doc))
@@ -218,8 +223,8 @@ def test_max_cosets_environment_above_int32(a2_file, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("usage error:")
 
 
-# Small ints only: a presentation's ngens sets the width of every coset
-# table row, so a drawn ngens of 10**8 would allocate gigabytes.
+# Small ints only, except for a presentation's ngens, which is also
+# drawn past its bound: it sets the width of every coset table row.
 SCALARS = (st.none() | st.booleans() | st.integers(-2, 6)
            | st.floats(allow_nan=False) | st.text(max_size=3))
 JSON = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
@@ -234,7 +239,7 @@ GEOMETRIES = st.fixed_dictionaries(
      | JSON},
     optional={"provenance": JSON})
 PRESENTATIONS = st.fixed_dictionaries(
-    {"ngens": JSON,
+    {"ngens": JSON | st.integers(pres.MAX_NGENS - 2, 2 ** 40),
      "relators": st.lists(st.lists(JSON, max_size=4), max_size=3) | JSON})
 COMMANDS = [
     ["check", "{}", "--props", "geom"],
@@ -250,6 +255,7 @@ COMMANDS = [
 @example(doc={"ngens": 0, "relators": []}, command=COMMANDS[1])
 @example(doc={"ngens": -1, "relators": []}, command=COMMANDS[1])
 @example(doc={"ngens": 1.5, "relators": [[0, 0]]}, command=COMMANDS[1])
+@example(doc={"ngens": 10 ** 8, "relators": []}, command=COMMANDS[1])
 @example(doc={"rank": 10 ** 12, "elements": [], "incidences": []},
          command=COMMANDS[0])
 def test_loaders_exit_with_a_code_on_any_json(tmp_path, capsys, doc,

@@ -83,6 +83,22 @@ def test_halving_whole_group(simplex_group):
     assert hg.order() == 24
 
 
+# index 2 in the cube's group of order 48; the whole tetrahedron group
+@pytest.mark.parametrize("group, order", [("cube_group", 24),
+                                          ("simplex_group", 24)])
+def test_halving_group_points_are_the_orbit(request, group, order):
+    pg = request.getfixturevalue(group)
+    hg = engine.halving_group(pg, (0, 1))
+    g0, g1 = pg.gens[0], pg.gens[1]
+    new_gens = [g0[g1[g0]]] + list(pg.gens[1:])
+    pts = orbit(0, new_gens)
+    assert hg.degree == len(pts) == order
+    index = np.full(pg.degree, -1)
+    index[pts] = np.arange(len(pts))
+    for h, g in zip(hg.gens, new_gens):
+        assert np.array_equal(h, index[g[pts]])
+
+
 def test_parabolic_subgroup_points(cube_group):
     assert len(subgroup_points(cube_group, [1, 2])) == 6
     assert len(subgroup_points(cube_group, [])) == 1
@@ -125,6 +141,14 @@ def test_induced_geometry_map_self_duality(simplex_group, cube_group):
     assert engine.induced_geometry_map(gt, gt, rev, rev) is not None
     gc = engine.coset_geometry(cube_group)
     assert engine.induced_geometry_map(gc, gc, rev, rev) is None
+
+
+def test_induced_geometry_map_breaks_a_relation(simplex_group):
+    # swapping rho0 and rho1 sends the commuting pair rho0, rho2 to
+    # rho1, rho2, whose product has order 3
+    g = engine.coset_geometry(simplex_group)
+    swap = [1, 0, 2]
+    assert engine.induced_geometry_map(g, g, swap, swap) is None
 
 
 def test_induced_geometry_map_different_orders(simplex_group, cube_group):

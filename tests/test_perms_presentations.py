@@ -1,12 +1,14 @@
+from math import lcm
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hyperforge import errors
 from hyperforge import presentations as pres
 from hyperforge.perms import (
     perm_mul, perm_order, orbit, mulclose, subgroup_order, subgroup_points,
-    coxeter_matrix, intersection_property, PermGroup,
+    coxeter_matrix, intersection_property, PermGroup, bfs_tree, label_pairs,
 )
 from hyperforge.toddcox import todd_coxeter, perm_image
 
@@ -28,6 +30,69 @@ def test_orbit():
     cycle = np.array([1, 2, 3, 0, 5, 4])
     assert list(orbit(0, [cycle])) == [0, 1, 2, 3]
     assert list(orbit(4, [cycle])) == [4, 5]
+
+
+def cycle_walk_order(p):
+    """Order of a permutation by walking each of its cycles."""
+    seen = [False] * len(p)
+    order = 1
+    for start in range(len(p)):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = int(p[x])
+            length += 1
+        if length:
+            order = lcm(order, length)
+    return order
+
+
+@given(st.integers(1, 60).flatmap(lambda n: st.permutations(range(n))))
+@example(list(range(1)))
+@example(list(range(60)))
+@settings(max_examples=200, deadline=None)
+def test_perm_order_against_cycle_walk(perm):
+    p = np.array(perm, dtype=np.int64)
+    assert perm_order(p) == cycle_walk_order(p)
+
+
+@given(st.integers(1, 80).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 9), min_size=n, max_size=n),
+    st.lists(st.integers(0, 30), min_size=n, max_size=n))))
+@settings(max_examples=200, deadline=None)
+def test_label_pairs_against_row_unique(labellings):
+    a, b = (np.array(x, dtype=np.int64) for x in labellings)
+    pa, pb = label_pairs(a, b)
+    rows = np.unique(np.stack([a, b], 1), axis=0)
+    assert np.array_equal(pa, rows[:, 0])
+    assert np.array_equal(pb, rows[:, 1])
+
+
+def check_bfs_tree(gens, degree):
+    reached = [0]
+    for p, y, q in bfs_tree(gens, degree):
+        # each edge leaves a point reached on an earlier level
+        assert set(p.tolist()) <= set(reached)
+        assert q.tolist() == [int(gens[k][v]) for k, v in zip(y, p)]
+        reached.extend(q.tolist())
+    assert len(reached) == len(set(reached))
+    assert sorted(reached) == orbit(0, gens).tolist()
+
+
+def test_bfs_tree_edge_cases():
+    check_bfs_tree([], 5)
+    # not transitive: the orbit of 0 is {0, 1, 2, 3}
+    check_bfs_tree([np.array([1, 2, 3, 0, 5, 4])], 6)
+    check_bfs_tree([np.array([1, 0, 2, 3]), np.array([0, 2, 1, 3])], 4)
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.lists(
+    st.permutations(range(n)), max_size=3)), st.integers(1, 40))
+@settings(max_examples=200, deadline=None)
+def test_bfs_tree_against_orbit(perms, n):
+    degree = len(perms[0]) if perms else n
+    check_bfs_tree([np.array(p, dtype=np.int64) for p in perms], degree)
 
 
 def test_mulclose_s3():
@@ -97,6 +162,10 @@ def test_presentation_validation():
         pres.GroupPresentation(2, [()])
     with pytest.raises(errors.InvalidParams):
         pres.GroupPresentation(2, [(0, 5)])
+    assert pres.GroupPresentation(pres.MAX_NGENS, []).ngens \
+        == pres.MAX_NGENS
+    with pytest.raises(errors.InvalidParams):
+        pres.GroupPresentation(pres.MAX_NGENS + 1, [])
 
 
 def test_relator_parity():
