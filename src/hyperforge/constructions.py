@@ -130,8 +130,17 @@ def truncation_graph(g, leaf, flag=()):
     return {v: tuple(sorted(a)) for v, a in adj.items()}, endpoints
 
 
+def _check_leaf(g, leaf):
+    """A leaf (i,j) names two distinct types of g; else InvalidParams."""
+    i, j = leaf
+    if i == j or not (0 <= i < g.rank and 0 <= j < g.rank):
+        raise InvalidParams("leaf (%r,%r) must be two distinct types in"
+                            " 0..%d" % (i, j, g.rank - 1))
+
+
 def check_B1(g, leaf):
     """Every j-element has exactly two i-elements, no repeated pairs."""
+    _check_leaf(g, leaf)
     i, j = leaf
     seen = set()
     for e in g.elements_of_type(j):
@@ -144,6 +153,7 @@ def check_B1(g, leaf):
 
 def check_B2(g, leaf):
     """e * x  iff  shadow_i(e) within shadow_i(x), for x off the leaf."""
+    _check_leaf(g, leaf)
     i, j = leaf
     edges = [(e, geo.shadow(g, e, i)) for e in g.elements_of_type(j)]
     others = [x for x in range(g.nelements) if g.type_of[x] not in (i, j)]
@@ -190,6 +200,7 @@ def p_construction(g, leaf, force=False):
     with (x,P) when p in P; (q,1) with (x,P) when q in P-bar; class
     elements of incident bases when their classes intersect.
     """
+    _check_leaf(g, leaf)
     if not force:
         _leaf_preconditions(g, leaf)
     adj, _ = truncation_graph(g, leaf)
@@ -268,6 +279,7 @@ def _p_build(g, leaf, adj):
 def bp_construction(g, leaf, force=False):
     """Bipartite construction: the two sides of the {i,j}-truncation
     replace the leaf elements; everything else is untouched."""
+    _check_leaf(g, leaf)
     if not force:
         _leaf_preconditions(g, leaf)
     adj, _ = truncation_graph(g, leaf)
@@ -333,6 +345,7 @@ def _bp_build(g, leaf, adj, pp):
 def halving_geometry(g, leaf, force=False):
     """P or BP construction, by bipartiteness of the truncation, which
     is built once and handed to the branch."""
+    _check_leaf(g, leaf)
     if not force:
         _leaf_preconditions(g, leaf)
     adj, _ = truncation_graph(g, leaf)
@@ -401,6 +414,8 @@ def b1b2_propagation(g, leaf, next_leaf, force=False):
     of the constructed geometry: for incident x (type k), y (type l),
     the residue truncation at x is bipartite or both residue
     truncations are non-bipartite."""
+    _check_leaf(g, leaf)
+    _check_leaf(g, next_leaf)
     i, j = leaf
     k, l = next_leaf
     if not force:

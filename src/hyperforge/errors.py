@@ -5,15 +5,20 @@ class HyperforgeError(Exception):
     pass
 
 
-class SelfIncidence(HyperforgeError):
+class InvalidParams(HyperforgeError):
     pass
 
 
-class SameTypeIncidence(HyperforgeError):
+# malformed geometry data is a usage error, like any invalid parameter
+class SelfIncidence(InvalidParams):
     pass
 
 
-class UnknownElement(HyperforgeError):
+class SameTypeIncidence(InvalidParams):
+    pass
+
+
+class UnknownElement(InvalidParams):
     pass
 
 
@@ -58,10 +63,6 @@ class PreconditionFailed(HyperforgeError):
 
 
 class NotPConstructed(HyperforgeError):
-    pass
-
-
-class InvalidParams(HyperforgeError):
     pass
 
 

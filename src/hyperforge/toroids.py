@@ -137,8 +137,9 @@ def _substitute(relators, repl):
     return out
 
 
-def _halving_closure(n, k, s):
-    """Extra relators pinning the non-bipartite halved presentation.
+def _halving_closure(p, w):
+    """Extra relators pinning the non-bipartite halved presentation,
+    given the halved word w of its extra relator.
 
     When the vertex-edge graph is non-bipartite the halving subgroup
     is the whole group, so the old generator is itself a word in the
@@ -146,39 +147,44 @@ def _halving_closure(n, k, s):
     adding the definition of the replaced generator) yields a
     complete presentation.
     """
+    n, k, s = p.n, p.k, p.s
     if k == 1:
-        base = _word([0], _up(2, n), _down(n - 1, 2), [1])
-        old0 = _word(_up(1, n), _down(n - 1, 1), base * (s - 1))
+        old0 = _word(_up(1, n), _down(n - 1, 1), w * (s - 1))
     else:  # k == n
-        base = _word([0], _up(2, n), [1], _up(2, n))
-        old0 = _word(_up(1, n), base * ((n * s - 1) // 2))
-    original = cubic_toroid_presentation(ToroidParams(n, k, s)).relators
-    closure = _substitute(original, old0)
+        old0 = _word(_up(1, n), w * ((n * s - 1) // 2))
+    closure = _substitute(cubic_toroid_presentation(p).relators, old0)
     # the new generator really is old0 conjugating rho_1
     closure.append(tuple(_word([0], old0, [1], old0[::-1])))
     return tuple(closure)
+
+
+def _extra_power(p):
+    """Exponent of the extra relator of both halved presentations."""
+    n, k, s = p.n, p.k, p.s
+    if k == 1:
+        return 2 * s if s % 2 == 1 else s
+    if k == 2:
+        return s
+    return n * s if s % 2 == 1 and n % 2 == 1 else n * s // 2
 
 
 def halved_presentation(p):
     """Presentation of the subgroup <r0 r1 r0, r1, ..., rn> on the Y
     diagram: the closed-form extra relator per parity case of (k, s),
     plus closure relators for the non-bipartite cases."""
-    n, k, s = p.n, p.k, p.s
+    n, k = p.n, p.k
     if predict_degenerate_leaf(p):
         raise UnsupportedCase("degenerate leaf for (k,s)=(1,2)")
     if k == 1:
         w = _word([0], _up(2, n), _down(n - 1, 2), [1])
-        power = 2 * s if s % 2 == 1 else s
     elif k == 2:
         w = _word([0], _up(2, n), _down(n - 1, 2), [1],
                   _up(2, n), _down(n - 1, 2))
-        power = s
     else:
         w = _word([0], _up(2, n), [1], _up(2, n))
-        power = n * s if s % 2 == 1 and n % 2 == 1 else n * s // 2
-    extra = (w * power,)
+    extra = (w * _extra_power(p),)
     if not predict_truncation_bipartite(p):
-        extra = extra + _halving_closure(n, k, s)
+        extra = extra + _halving_closure(p, w)
     return coxeter_presentation(halved_matrix(n), extra=extra)
 
 
@@ -221,41 +227,21 @@ def double_halved_presentation(p):
     n, k, s = p.n, p.k, p.s
     if (k, s) in ((1, 2), (2, 2)):
         raise UnsupportedCase("excluded case (k,s)=(%d,%d)" % (k, s))
-    if n == 3:
-        if k == 1:
-            w = (0, 2, 3, 1)
-            power = 2 * s if s % 2 == 1 else s
-        elif k == 2:
-            w = (0, 2, 1, 3, 1, 2)
-            power = s
-        else:
-            w = (0, 2, 1, 3)
-            power = 3 * s if s % 2 == 1 else 3 * s // 2
-    elif n == 4:
-        if k == 1:
-            w = (0, 2, 3, 4, 2, 1)
-            power = 2 * s if s % 2 == 1 else s
-        elif k == 2:
-            w = (0, 2, 3, 4, 2, 1, 2, 3, 4, 2)
-            power = s
-        else:
-            w = (0, 2, 3, 1, 2, 4)
-            power = 2 * s
+    if k == 1:
+        w = _word([0], _up(2, n), _down(n - 2, 2), [1])
+    elif (n, k) == (3, 2):
+        # the general k = 2 word, (0, 2, 3, 1, 2, 3), presents the same
+        # group; this one keeps the presentation's JSON stable
+        w = (0, 2, 1, 3, 1, 2)
+    elif k == 2:
+        w = _word([0], _up(2, n), _down(n - 2, 2), [1],
+                  _up(2, n), _down(n - 2, 2))
     else:
-        if k == 1:
-            w = _word([0], _up(2, n - 1), [n], _down(n - 2, 2), [1])
-            power = 2 * s if s % 2 == 1 else s
-        elif k == 2:
-            w = _word([0], _up(2, n - 1), [n], _down(n - 2, 2), [1],
-                      _up(2, n - 1), [n], _down(n - 2, 2))
-            power = s
-        else:
-            w = _word([0], _up(2, n - 1), [1], _up(2, n - 2), [n])
-            power = n * s if s % 2 == 1 and n % 2 == 1 else n * s // 2
+        w = _word([0], _up(2, n - 1), [1], _up(2, n - 2), [n])
     closure = _rewrite_even_subgroup(halved_presentation(p).relators,
                                      n, n - 1)
     return coxeter_presentation(double_halved_matrix(n),
-                                extra=(w * power,) + closure)
+                                extra=(w * _extra_power(p),) + closure)
 
 
 def matrix_shape(m):
@@ -266,9 +252,9 @@ def matrix_shape(m):
                                 for j in range(i + 1, rank) if m[i][j] > 2})
 
 
-def _certify(pg, g, context, expected=None):
-    """Certify that g, the coset geometry of the regular group pg, is
-    a thin, residually connected, flag-transitive regular hypertope.
+def _certify(pg, context):
+    """Certify that the coset geometry of the regular group pg is a
+    thin, residually connected, flag-transitive regular hypertope.
 
     pg is a C-group when its generators are involutions and it has the
     intersection property; Tits' coset-product condition then decides
@@ -276,11 +262,6 @@ def _certify(pg, g, context, expected=None):
     of a C-group that is flag-transitive is a regular hypertope
     (Fernandes-Leemans-Weiss, "Highly symmetric hypertopes", 2016,
     Thm 4.6).  Raises PropertyViolation naming the step that fails.
-
-    With the Coxeter matrix `expected`, also returns the diagram
-    fields of a verify_family stage: the shape of g's Buekenhout
-    diagram, read from one residue per type pair, against the shape
-    of the expected diagram.
     """
     start = time.perf_counter()
     if not involutions(pg):
@@ -291,35 +272,31 @@ def _certify(pg, g, context, expected=None):
                                 % context)
     if not engine.tits_condition(pg):
         raise PropertyViolation("%s: not flag-transitive" % context)
-    fields = None
-    if expected is not None:
-        shape = engine.coset_diagram(g).shape()
-        want = matrix_shape(expected)
-        fields = {"diagram_shape": shape, "diagram_expected": want,
-                  "diagram_matches": shape == want}
     log.debug("%s: C-group + Tits, order %d, %.3f s", context, pg.order(),
               time.perf_counter() - start)
-    return fields
 
 
-def _certify_toroid(p, pg, g, expected=None):
-    """_certify plus the linear Coxeter diagram of the toroid group."""
-    fields = _certify(pg, g, "toroid %r" % (p,), expected)
+def _diagram_fields(g, expected):
+    """The diagram fields of a verify_family stage: the shape of the
+    Buekenhout diagram of the certified coset geometry g, read from
+    one residue per type pair, against that of the Coxeter matrix
+    expected."""
+    shape = engine.coset_diagram(g).shape()
+    want = matrix_shape(expected)
+    return {"diagram_shape": shape, "diagram_expected": want,
+            "diagram_matches": shape == want}
+
+
+def build_cubic_toroid(p, max_cosets=None):
+    """Enumerate the toroid group and its coset geometry; certify the
+    regular hypertope and check the linear diagram 4-3-...-3-4."""
+    pg = perm_image(todd_coxeter(cubic_toroid_presentation(p),
+                                 max_cosets=max_cosets))
+    g = engine.coset_geometry(pg)
+    _certify(pg, "toroid %r" % (p,))
     if coxeter_matrix(pg) != linear_matrix(p.n):
         raise PropertyViolation("toroid %r: diagram is not linear"
                                 " 4-3-...-3-4" % (p,))
-    return fields
-
-
-def build_cubic_toroid(p, max_cosets=None, check=True):
-    """Enumerate the toroid group and its coset geometry; verify the
-    regular-hypertope properties and the linear diagram."""
-    pres = cubic_toroid_presentation(p)
-    t = todd_coxeter(pres, max_cosets=max_cosets)
-    pg = perm_image(t)
-    g = engine.coset_geometry(pg)
-    if check:
-        _certify_toroid(p, pg, g)
     return pg, g
 
 
@@ -347,6 +324,32 @@ def _agreement(pres, hg, context, diffs, max_cosets=None):
     return entry, gh
 
 
+def _halving_stage(p, name, group, leaf, order, presentation, expected,
+                   diffs, max_cosets):
+    """One halving stage of verify_family: the halving group of group
+    at leaf, its order against order, its agreement with the
+    closed-form presentation of p where there is one, then the
+    certificate and the diagram fields of its coset geometry.
+
+    Returns (halving group, coset geometry or None, stage fields); the
+    geometry is None when the presented order disagrees."""
+    h = engine.halving_group(group, leaf)
+    stage = {"order": h.order()}
+    if h.order() != order:
+        diffs.append((name, "order", order, h.order()))
+    try:
+        entry, gh = _agreement(presentation(p), h, name, diffs,
+                               max_cosets=max_cosets)
+        stage.update(entry)
+    except UnsupportedCase as exc:
+        stage["presentation"] = "unsupported: %s" % exc
+        gh = engine.coset_geometry(h)
+    if gh is not None:
+        _certify(h, "%s %r" % (name.replace("_", " "), p))
+        stage.update(_diagram_fields(gh, expected))
+    return h, gh, stage
+
+
 def verify_family(p, depth=0, max_cosets=None):
     """Cross-check one (n, k, s) cell: build the toroid (depth 0),
     halve at (0,1) (depth 1), halve again at (n,n-1) (depth 2),
@@ -361,8 +364,8 @@ def verify_family(p, depth=0, max_cosets=None):
     report = {"params": {"n": p.n, "k": p.k, "s": p.s}, "depth": depth,
               "stages": {}}
 
-    pg, g = build_cubic_toroid(p, max_cosets=max_cosets, check=False)
-    stage = _certify_toroid(p, pg, g, linear_matrix(n))
+    pg, g = build_cubic_toroid(p, max_cosets=max_cosets)
+    stage = _diagram_fields(g, linear_matrix(n))
     stage.update({"order": pg.order(),
                   "type_counts": list(g.type_counts()),
                   "bipartite_predicted": predict_truncation_bipartite(p),
@@ -388,23 +391,12 @@ def verify_family(p, depth=0, max_cosets=None):
     report["stages"]["toroid"] = stage
 
     if depth >= 1 and not diffs:
-        hg = engine.halving_group(pg, (0, 1))
-        stage = {"order": hg.order()}
-        expected = pg.order() // 2 if predict_truncation_bipartite(p) \
+        order = pg.order() // 2 if predict_truncation_bipartite(p) \
             else pg.order()
-        if hg.order() != expected:
-            diffs.append(("halved", "order", expected, hg.order()))
-        try:
-            hpres = halved_presentation(p)
-            entry, gh = _agreement(hpres, hg, "halved", diffs,
-                                   max_cosets=max_cosets)
-            stage.update(entry)
-        except UnsupportedCase as exc:
-            stage["presentation"] = "unsupported: %s" % exc
-            gh = engine.coset_geometry(hg)
+        hg, gh, stage = _halving_stage(p, "halved", pg, (0, 1), order,
+                                       halved_presentation,
+                                       halved_matrix(n), diffs, max_cosets)
         if gh is not None:
-            stage.update(_certify(hg, gh, "halved %r" % (p,),
-                                  halved_matrix(n)))
             stage["b1_next_leaf"] = cons.check_B1(gh, (n, n - 1))
             stage["b2_next_leaf"] = cons.check_B2(gh, (n, n - 1))
             if not (stage["b1_next_leaf"] and stage["b2_next_leaf"]):
@@ -416,25 +408,14 @@ def verify_family(p, depth=0, max_cosets=None):
     if depth >= 2 and not diffs:
         adj2, _ = cons.truncation_graph(gh, (n, n - 1))
         bp_branch = cons.parity_classes(adj2).bipartite
-        stage = {"bp_branch": bp_branch}
         if not bp_branch:
             diffs.append(("double_halved", "bp_branch", True, False))
-        h2 = engine.halving_group(hg, (n, n - 1))
-        stage["order"] = h2.order()
-        if h2.order() != hg.order() // 2:
-            diffs.append(("double_halved", "order", hg.order() // 2,
-                          h2.order()))
-        try:
-            dpres = double_halved_presentation(p)
-            entry, gh2 = _agreement(dpres, h2, "double_halved", diffs,
-                                    max_cosets=max_cosets)
-            stage.update(entry)
-        except UnsupportedCase as exc:
-            stage["presentation"] = "unsupported: %s" % exc
-            gh2 = engine.coset_geometry(h2)
-        if gh2 is not None:
-            stage.update(_certify(h2, gh2, "double halved %r" % (p,),
-                                  double_halved_matrix(n)))
+        _, _, stage = _halving_stage(p, "double_halved", hg, (n, n - 1),
+                                     hg.order() // 2,
+                                     double_halved_presentation,
+                                     double_halved_matrix(n), diffs,
+                                     max_cosets)
+        stage["bp_branch"] = bp_branch
         # halving at the other leaf gives the dual of halving at (0,1)
         kg = engine.halving_group(pg, (n, n - 1))
         gk = engine.coset_geometry(kg)

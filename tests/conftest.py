@@ -113,14 +113,14 @@ def square_pyramid():
 @pytest.fixture(scope="session")
 def toroid_313():
     p = toroids.ToroidParams(3, 1, 3)
-    pg, g = toroids.build_cubic_toroid(p, check=False)
+    pg, g = toroids.build_cubic_toroid(p)
     return pg, g
 
 
 @pytest.fixture(scope="session")
 def toroid_314():
     p = toroids.ToroidParams(3, 1, 4)
-    pg, g = toroids.build_cubic_toroid(p, check=False)
+    pg, g = toroids.build_cubic_toroid(p)
     return pg, g
 
 

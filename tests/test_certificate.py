@@ -1,8 +1,9 @@
 """The group-side hypertope certificate against the exhaustive scans.
 
 toroids._certify decides thin + residually connected + flag-transitive
-from the group alone (C-group plus Tits' condition) and reads the
-diagram from one residue per type pair.  Wherever the flag scans of
+from the group alone (C-group plus Tits' condition), and
+engine.coset_diagram reads the diagram from one residue per type
+pair.  Wherever the flag scans of
 geometry.py and iso.py also run, the two must agree.
 """
 
@@ -44,9 +45,9 @@ def stage_groups():
     return out
 
 
-def _certified(pg, g):
+def _certified(pg):
     try:
-        toroids._certify(pg, g, "stage")
+        toroids._certify(pg, "stage")
     except errors.PropertyViolation:
         return False
     return True
@@ -71,7 +72,7 @@ def test_certificate_agrees_with_flag_scans(stage_groups, cell):
         g = engine.coset_geometry(pg)
         scanned = _scanned(g)
         assert scanned, (cell, stage)
-        assert _certified(pg, g) == scanned, (cell, stage)
+        assert _certified(pg) == scanned, (cell, stage)
         got = engine.coset_diagram(g)
         want = geo.buekenhout_diagram(g)
         assert got.shape() == want.shape(), (cell, stage)
@@ -92,7 +93,7 @@ def test_degenerate_leaf_fails_the_intersection_property():
     assert not _scanned(g)
     with pytest.raises(errors.PropertyViolation,
                        match="intersection property fails"):
-        toroids._certify(hg, g, "degenerate halving")
+        toroids._certify(hg, "degenerate halving")
 
 
 def test_c_group_that_is_not_flag_transitive():
@@ -108,7 +109,7 @@ def test_c_group_that_is_not_flag_transitive():
     assert iso.is_flag_transitive(g, engine.natural_action(g)) is False
     with pytest.raises(errors.PropertyViolation,
                        match="not flag-transitive"):
-        toroids._certify(pg, g, "triangle quotient")
+        toroids._certify(pg, "triangle quotient")
 
 
 def test_chamber_transitive_non_geometry():
@@ -123,7 +124,7 @@ def test_chamber_transitive_non_geometry():
     assert not _scanned(g)
     with pytest.raises(errors.PropertyViolation,
                        match="not flag-transitive"):
-        toroids._certify(pg, g, "star quotient")
+        toroids._certify(pg, "star quotient")
 
 
 def test_tits_condition_on_triangle_quotients():
@@ -156,9 +157,8 @@ def test_generators_must_be_involutions():
     # the regular representation of the cyclic group of order 3
     r = np.array([1, 2, 0])
     pg = PermGroup(3, [r], regular=True)
-    g = engine.coset_geometry(pg)
     with pytest.raises(errors.PropertyViolation, match="involutions"):
-        toroids._certify(pg, g, "cyclic")
+        toroids._certify(pg, "cyclic")
 
 
 def test_tits_condition_needs_a_regular_group():

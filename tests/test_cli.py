@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -104,6 +105,21 @@ def test_halve_bad_leaf(toroid_file):
     assert run(["halve", str(toroid_file), "--leaf", "zero"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "{}", "--props", "b1:0:9"],
+    ["check", "{}", "--props", "b2:0:9"],
+    ["check", "{}", "--props", "b1:-1:0"],
+    ["check", "{}", "--props", "b1:0:0"],
+    ["halve", "{}", "--leaf", "0,9"],
+    ["halve", "{}", "--leaf", "0,0"],
+    ["halve", "{}", "--leaf", "0,0", "--force"],
+], ids=["b1-0-9", "b2-0-9", "b1-neg", "b1-0-0", "halve-0-9", "halve-0-0",
+        "halve-0-0-force"])
+def test_leaf_out_of_range(toroid_file, capsys, argv):
+    assert run([arg.format(toroid_file) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
 def test_enumerate(tmp_path):
     pfile = tmp_path / "pres.json"
     pfile.write_text(pres.to_json(pres.coxeter_presentation(
@@ -136,6 +152,27 @@ def test_verify_family(tmp_path, capsys):
     assert report["stages"]["halved"]["order_presentation"] == 384
     shown = capsys.readouterr().out
     assert "ok" in shown
+
+
+# sha256 of the CLI's own bytes for one depth-2 cell: the report file
+# (indent=1, default=str) and the stdout table, which the library
+# report digests of test_acceptance.py do not cover
+CLI_DIGESTS = {
+    "file": "1ce7d05c41490b41c41bf9dc7a48617a"
+            "298904735190e21af3a7fc599aeeb75a",
+    "stdout": "517062b4c3e8d249302326e6f91e6eaf"
+              "babe5e8bb0a57d3c4b5a8027d11a9dae",
+}
+
+
+def test_verify_family_output_digests(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run(["verify-family", "--n", "3", "--k", "1", "--s", "3",
+                "--depth", "2", "-o", str(out)]) == 0
+    got = {"file": hashlib.sha256(out.read_bytes()).hexdigest(),
+           "stdout": hashlib.sha256(
+               capsys.readouterr().out.encode()).hexdigest()}
+    assert got == CLI_DIGESTS
 
 
 def test_verify_family_bad_params():
@@ -199,6 +236,26 @@ def test_check_geometry_with_float_type_id(tmp_path, capsys):
     bad.write_text(json.dumps({"rank": 1, "elements": [{"id": 0,
                                                         "type": 0.0}],
                                "incidences": []}))
+    assert run(["check", str(bad), "--props", "geom"]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("doc", [
+    {"rank": 1, "elements": [{"id": 0, "type": 0}, {"id": 0, "type": 0}],
+     "incidences": []},
+    {"rank": 2, "elements": [{"id": 0, "type": 0}, {"id": 1, "type": 1}],
+     "incidences": [[0, 0]]},
+    {"rank": 2, "elements": [{"id": 0, "type": 0}, {"id": 1, "type": 0},
+                             {"id": 2, "type": 1}],
+     "incidences": [[0, 1]]},
+    {"rank": 2, "elements": [{"id": 0, "type": 0}, {"id": 1, "type": 1}],
+     "incidences": [[0, 5]]},
+    {"rank": 1, "elements": [{"id": 0, "type": 3}], "incidences": []},
+], ids=["duplicate-id", "self-incidence", "same-type-incidence",
+        "incidence-out-of-range", "type-out-of-range"])
+def test_check_malformed_geometry(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
     assert run(["check", str(bad), "--props", "geom"]) == 2
     assert capsys.readouterr().err.startswith("usage error:")
 

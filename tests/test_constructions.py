@@ -166,6 +166,24 @@ def test_b1b2_propagation_precondition(hemicube):
         cons.b1b2_propagation(hgeo, (0, 1), (2, 1))
 
 
+BAD_LEAVES = [(0, 9), (9, 0), (-1, 0), (0, 0), (2, 2)]
+
+
+@pytest.mark.parametrize("leaf", BAD_LEAVES, ids=str)
+def test_leaf_must_be_two_distinct_types(tetrahedron, leaf):
+    for check in (cons.check_B1, cons.check_B2):
+        with pytest.raises(errors.InvalidParams, match="leaf"):
+            check(tetrahedron, leaf)
+    for force in (False, True):
+        for build in (cons.p_construction, cons.bp_construction,
+                      cons.halving_geometry):
+            with pytest.raises(errors.InvalidParams, match="leaf"):
+                build(tetrahedron, leaf, force=force)
+        for pair in ((leaf, (0, 1)), ((0, 1), leaf)):
+            with pytest.raises(errors.InvalidParams, match="leaf"):
+                cons.b1b2_propagation(tetrahedron, *pair, force=force)
+
+
 def test_shortest_cycles():
     assert cons.shortest_cycles(cycle(5)) == (5, None)
     assert cons.shortest_cycles(cycle(6)) == (None, 6)

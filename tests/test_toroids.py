@@ -1,3 +1,5 @@
+import hashlib
+import json
 import logging
 
 import pytest
@@ -145,3 +147,15 @@ def test_verify_family_depth1():
 def test_verify_family_bad_depth():
     with pytest.raises(errors.InvalidParams):
         toroids.verify_family(toroids.ToroidParams(3, 2, 2), depth=5)
+
+
+def test_verify_family_rank6(compiled_kernel):
+    # the smallest rank-6 cell, 245,760 elements: pins the general-n
+    # halved presentation and toroid words, which the n <= 4 envelope
+    # does not reach
+    report = toroids.verify_family(toroids.ToroidParams(5, 2, 2), depth=1)
+    assert report["ok"]
+    text = json.dumps(report, sort_keys=True, default=str)
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == "5675ba03522e32537a49aad0fd883f16" \
+           "8ada65d6dd2610c676e7e0ef930d4d69"
