@@ -14,8 +14,7 @@ from .perms import PermGroup, subgroup_order, coxeter_matrix, \
 from .presentations import GroupPresentation, coxeter_presentation, \
     relator_parity_bipartite
 from .toddcox import todd_coxeter, perm_image, CosetTable, backend_name
-from .engine import coset_geometry, halving_group, natural_action, \
-    check_B1_algebraic, check_B2_algebraic_sufficient
+from .engine import coset_geometry, halving_group, natural_action
 from .constructions import (
     parity_classes, partitioned_neighborhood, check_B1, check_B2,
     p_construction, bp_construction, halving_geometry,

@@ -12,6 +12,8 @@ elements.  parity_classes, partitioned_neighborhood and
 gonality_formula take such a graph as an adjacency mapping.
 """
 
+from collections import Counter
+
 from .errors import (
     Disconnected, NotAClass, PreconditionFailed, NotPConstructed,
     InvalidParams, NotAnAction,
@@ -152,16 +154,24 @@ def check_B1(g, leaf):
 
 
 def check_B2(g, leaf):
-    """e * x  iff  shadow_i(e) within shadow_i(x), for x off the leaf."""
+    """e * x  iff  shadow_i(e) within shadow_i(x), for x off the leaf.
+
+    Counting the j-elements met through the i-elements of shadow_i(x)
+    finds the e under x: those met |shadow_i(e)| times, plus every e
+    with an empty shadow.
+    """
     _check_leaf(g, leaf)
     i, j = leaf
-    edges = [(e, geo.shadow(g, e, i)) for e in g.elements_of_type(j)]
-    others = [x for x in range(g.nelements) if g.type_of[x] not in (i, j)]
-    for x in others:
-        sx = geo.shadow(g, x, i)
-        for e, se in edges:
-            if g.incident(e, x) != (se <= sx):
-                return False
+    edges_at = {p: geo.shadow(g, p, j) for p in g.elements_of_type(i)}
+    size = Counter(e for es in edges_at.values() for e in es)
+    free = {e for e in g.elements_of_type(j) if e not in size}
+    for x in range(g.nelements):
+        if g.type_of[x] in (i, j):
+            continue
+        met = Counter(e for p in geo.shadow(g, x, i) for e in edges_at[p])
+        under = {e for e, c in met.items() if c == size[e]}
+        if under | free != geo.shadow(g, x, j):
+            return False
     return True
 
 

@@ -21,10 +21,10 @@ def _edge_attrs(label, mults):
     return attrs
 
 
-def diagram_to_dot(g, name="diagram"):
+def diagram_to_dot(g):
     """DOT source for the diagram of a geometry (digon edges omitted)."""
     d = geo.buekenhout_diagram(g)
-    lines = ["graph %s {" % name]
+    lines = ["graph diagram {"]
     for t in range(g.rank):
         lines.append('  t%d [shape=circle, label="%d"];' % (t, t))
     for (i, j) in sorted(d.entries):

@@ -16,7 +16,7 @@ labels from orbit_labels, incidences and coset maps from label_pairs.
 
 import numpy as np
 
-from .errors import NotAnAction
+from .errors import InvalidParams, NotAnAction
 from .perms import PermGroup, bfs_tree, label_pairs, orbit_labels, \
     require_regular, subgroup_points, subgroup_masks
 from . import geometry as geo
@@ -175,6 +175,9 @@ def halving_group(pg, leaf):
     """
     require_regular(pg)
     i, j = leaf
+    if i == j or not (0 <= i < pg.ngens and 0 <= j < pg.ngens):
+        raise InvalidParams("leaf (%r,%r) must be two distinct generator"
+                            " indices in 0..%d" % (i, j, pg.ngens - 1))
     gi, gj = pg.gens[i], pg.gens[j]
     new_gens = list(pg.gens)
     new_gens[i] = gi[gj[gi]]
@@ -187,52 +190,6 @@ def halving_group(pg, leaf):
     index[pts] = np.arange(len(pts))
     restricted = [index[g[pts]] for g in new_gens]
     return PermGroup(len(pts), restricted, regular=True, order=len(pts))
-
-
-def check_B1_algebraic(pg, leaf):
-    """G_i cap rho_i G_i rho_i = G_{i,j} with (i,j) in the (0,1) roles."""
-    require_regular(pg)
-    i, j = leaf
-    others = [x for x in range(pg.ngens) if x != i]
-    gi_set = subgroup_points(pg, others)
-    lam_i = left_mult_gens(pg)[i]
-    conj = pg.gens[i][lam_i[gi_set]]
-    meet = np.intersect1d(gi_set, conj)
-    gij_set = subgroup_points(pg, [x for x in others if x != j])
-    return np.array_equal(meet, gij_set)
-
-
-def check_B2_algebraic_sufficient(pg, leaf):
-    """Sufficient test for (B2) on the group side.
-
-    With roles (i,j) as (0,1): the base 1-element is the coset G_j,
-    its two 0-shadow members are G_i and G_i rho_i.  For every type t
-    outside the leaf, the t-elements whose 0-shadow contains both
-    must be exactly the t-elements incident to the base 1-element:
-
-        { G_t u meeting G_i and G_i rho_i } = { G_t u meeting G_j }.
-
-    By flag transitivity this pins (B2) at every 1-element, so True
-    guarantees (B2); False is inconclusive for inputs that are not
-    regular leaf hypertopes.
-    """
-    require_regular(pg)
-    i, j = leaf
-    lam = left_mult_gens(pg)
-    gi_set = subgroup_points(pg, [x for x in range(pg.ngens) if x != i])
-    gj_set = subgroup_points(pg, [x for x in range(pg.ngens) if x != j])
-    girho = pg.gens[i][gi_set]
-    for t in range(pg.ngens):
-        if t in (i, j):
-            continue
-        labs, _ = orbit_labels([lam[x] for x in range(pg.ngens) if x != t],
-                               pg.degree)
-        through_p = set(int(v) for v in np.unique(labs[gi_set]))
-        through_q = set(int(v) for v in np.unique(labs[girho]))
-        through_e = set(int(v) for v in np.unique(labs[gj_set]))
-        if (through_p & through_q) != through_e:
-            return False
-    return True
 
 
 def induced_geometry_map(ga, gb, gen_map, type_map):

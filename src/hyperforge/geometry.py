@@ -14,7 +14,8 @@ from .errors import (
     NotAGeometry, SizeLimitExceeded, InvalidParams,
 )
 
-DEFAULT_MAX_FLAGS = 10 ** 6
+# the flags one scan may visit, empty flag included
+MAX_FLAGS = 10 ** 6
 
 
 class IncidenceGeometry:
@@ -160,7 +161,7 @@ def shadow(g, x, i):
     return {y for y in g.adj[x] if g.type_of[y] == i}
 
 
-def _scan_flags(g, visit, max_flags=DEFAULT_MAX_FLAGS):
+def _scan_flags(g, visit):
     """Depth-first walk over all flags (including the empty one).
 
     visit(flag_tuple, candidates) is called once per flag; candidates
@@ -173,8 +174,8 @@ def _scan_flags(g, visit, max_flags=DEFAULT_MAX_FLAGS):
     while stack:
         flag, cand = stack.pop()
         count += 1
-        if count > max_flags:
-            raise SizeLimitExceeded("more than %d flags" % max_flags)
+        if count > MAX_FLAGS:
+            raise SizeLimitExceeded("more than %d flags" % MAX_FLAGS)
         visit(flag, cand)
         last = flag[-1] if flag else -1
         for c in sorted(cand, reverse=True):
@@ -182,19 +183,19 @@ def _scan_flags(g, visit, max_flags=DEFAULT_MAX_FLAGS):
                 stack.append((flag + (c,), cand & g.adjsets[c]))
 
 
-def enumerate_chambers(g, max_flags=DEFAULT_MAX_FLAGS):
+def enumerate_chambers(g):
     chambers = []
 
     def visit(flag, cand):
         if len(flag) == g.rank:
             chambers.append(flag)
 
-    _scan_flags(g, visit, max_flags)
+    _scan_flags(g, visit)
     chambers.sort()
     return chambers
 
 
-def _scan_geometry(g, visit, max_flags=DEFAULT_MAX_FLAGS):
+def _scan_geometry(g, visit):
     """_scan_flags that also checks, in the same walk, that g is a
     geometry: no type is empty and every maximal flag is a chamber.
     Raises NotAGeometry after the scan when it is not."""
@@ -205,15 +206,15 @@ def _scan_geometry(g, visit, max_flags=DEFAULT_MAX_FLAGS):
             ok[0] = False
         visit(flag, cand)
 
-    _scan_flags(g, check, max_flags)
+    _scan_flags(g, check)
     if not ok[0]:
         raise NotAGeometry("input is not a geometry")
 
 
-def is_geometry(g, max_flags=DEFAULT_MAX_FLAGS):
+def is_geometry(g):
     """True when every maximal flag is a chamber."""
     try:
-        _scan_geometry(g, lambda flag, cand: None, max_flags)
+        _scan_geometry(g, lambda flag, cand: None)
     except NotAGeometry:
         return False
     return True
@@ -240,7 +241,7 @@ def is_connected(g):
     return _connected_subset(g, range(g.nelements))
 
 
-def is_residually_connected(g, max_flags=DEFAULT_MAX_FLAGS):
+def is_residually_connected(g):
     """Every residue of rank >= 2 (corank >= 2 flags, incl. empty) connected."""
     memo = {}
     ok = [True]
@@ -256,11 +257,11 @@ def is_residually_connected(g, max_flags=DEFAULT_MAX_FLAGS):
         if not verdict:
             ok[0] = False
 
-    _scan_geometry(g, visit, max_flags)
+    _scan_geometry(g, visit)
     return ok[0]
 
 
-def is_thin(g, max_flags=DEFAULT_MAX_FLAGS):
+def is_thin(g):
     """Every corank-1 flag extends in exactly two ways."""
     ok = [True]
 
@@ -268,7 +269,7 @@ def is_thin(g, max_flags=DEFAULT_MAX_FLAGS):
         if len(flag) == g.rank - 1 and len(cand) != 2:
             ok[0] = False
 
-    _scan_geometry(g, visit, max_flags)
+    _scan_geometry(g, visit)
     return ok[0]
 
 
@@ -370,7 +371,7 @@ def diagram_shape(rank, edges):
     return (tuple(sorted(deg)), tuple(sorted(edges.values())))
 
 
-def buekenhout_diagram(g, max_flags=DEFAULT_MAX_FLAGS):
+def buekenhout_diagram(g):
     """Labels of every rank-2 residue, collected in one flag scan: a
     flag of corank 2 names its type pair, and residues with the same
     points and lines are counted once."""
@@ -389,7 +390,7 @@ def buekenhout_diagram(g, max_flags=DEFAULT_MAX_FLAGS):
             lab = rank2_label(g, pts, lns)
             seen[(i, j)][lab] = seen[(i, j)].get(lab, 0) + 1
 
-    _scan_geometry(g, visit, max_flags)
+    _scan_geometry(g, visit)
     return BuekenhoutDiagram(g.rank, {pair: tuple(sorted(labs.items()))
                                       for pair, labs in seen.items()})
 

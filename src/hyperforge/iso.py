@@ -130,14 +130,13 @@ def validate_action(g, action):
                               " and incidence" % x)
 
 
-def is_flag_transitive(g, action=None, max_elements=DEFAULT_MAX_ELEMENTS,
-                       max_flags=geo.DEFAULT_MAX_FLAGS):
+def is_flag_transitive(g, action=None, max_elements=DEFAULT_MAX_ELEMENTS):
     """Transitivity on chambers of the given action (or of Aut(g))."""
     if action is None:
         action = automorphism_group(g, max_elements)
     else:
         validate_action(g, action)
-    chambers = geo.enumerate_chambers(g, max_flags)
+    chambers = geo.enumerate_chambers(g)
     if not chambers:
         return True
     chamber_set = set(chambers)

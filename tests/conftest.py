@@ -84,6 +84,19 @@ def make_square_pyramid():
     return geo.build_geometry(3, types, pairs)
 
 
+def make_two_cubes():
+    """Two cubes glued at vertex 0 (the second cube's vertex 0 is the
+    first one's): a thin connected geometry whose residue at the shared
+    vertex is two disjoint hexagons."""
+    cube = make_cube()
+    m = cube.nelements
+    ids = [0] + list(range(m, 2 * m - 1))  # second cube's ids
+    types = list(cube.type_of) + list(cube.type_of[1:])
+    pairs = cube.incidence_pairs() + [(ids[x], ids[y])
+                                      for x, y in cube.incidence_pairs()]
+    return geo.build_geometry(3, types, pairs)
+
+
 def hemicube_group():
     m = ((1, 4, 2), (4, 1, 3), (2, 3, 1))
     pres = coxeter_presentation(m, extra=(tuple([0, 1, 2] * 3),))
@@ -108,6 +121,11 @@ def triangle():
 @pytest.fixture(scope="session")
 def square_pyramid():
     return make_square_pyramid()
+
+
+@pytest.fixture(scope="session")
+def two_cubes():
+    return make_two_cubes()
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,9 @@ toroids._certify decides thin + residually connected + flag-transitive
 from the group alone (C-group plus Tits' condition), and
 engine.coset_diagram reads the diagram from one residue per type
 pair.  Wherever the flag scans of
-geometry.py and iso.py also run, the two must agree.
+geometry.py and iso.py also run, the two must agree.  On the same
+stages, constructions.check_B2 must agree with (B2) read off its
+definition at every ordered leaf.
 """
 
 import itertools
@@ -12,6 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
+from hyperforge import constructions as cons
 from hyperforge import engine
 from hyperforge import errors
 from hyperforge import geometry as geo
@@ -20,6 +23,8 @@ from hyperforge import toroids
 from hyperforge.perms import PermGroup, intersection_property, involutions
 from hyperforge.presentations import coxeter_presentation
 from hyperforge.toddcox import todd_coxeter, perm_image
+
+from test_constructions import b2_by_definition
 
 # the envelope cells with at most 50,000 chambers
 CELLS = [(3, 1, 3), (3, 1, 4), (3, 2, 2), (3, 2, 3), (3, 2, 4), (3, 3, 2),
@@ -77,6 +82,18 @@ def test_certificate_agrees_with_flag_scans(stage_groups, cell):
         want = geo.buekenhout_diagram(g)
         assert got.shape() == want.shape(), (cell, stage)
         assert _labels(got) == _labels(want), (cell, stage)
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=lambda c: "%d%d%d" % c)
+def test_check_B2_matches_its_definition_on_stages(stage_groups, cell):
+    verdicts = set()
+    for stage, pg in zip(STAGES, stage_groups[cell]):
+        g = engine.coset_geometry(pg)
+        for leaf in itertools.permutations(range(g.rank), 2):
+            want = b2_by_definition(g, leaf)
+            assert cons.check_B2(g, leaf) == want, (cell, stage, leaf)
+            verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def _nonregular(pg):

@@ -88,6 +88,14 @@ def test_check_failing(tmp_path, toroid_file):
     assert run(["check", str(toroid_file), "--props", "b1:2:1"]) == 1
 
 
+def test_check_not_residually_connected(tmp_path, two_cubes):
+    src = tmp_path / "two_cubes.json"
+    src.write_text(geo.to_json(two_cubes))
+    out = tmp_path / "report.json"
+    assert run(["check", str(src), "--props", "rc", "-o", str(out)]) == 1
+    assert json.loads(out.read_text()) == {"rc": False}
+
+
 def test_check_unknown_property(toroid_file):
     assert run(["check", str(toroid_file), "--props", "sparkly"]) == 2
 

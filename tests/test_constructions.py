@@ -1,3 +1,7 @@
+import collections
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -89,6 +93,54 @@ def test_check_B2(cube, tetrahedron, hemicube):
     assert cons.check_B2(tetrahedron, (0, 1))
     _, hgeo = hemicube
     assert not cons.check_B2(hgeo, (0, 1))
+
+
+def b2_by_definition(g, leaf):
+    """(B2) read off its definition, one incidence test per pair: e * x
+    iff shadow_i(e) within shadow_i(x), for every j-element e and every
+    x off the leaf."""
+    i, j = leaf
+    edges = [(e, geo.shadow(g, e, i)) for e in g.elements_of_type(j)]
+    others = [x for x in range(g.nelements) if g.type_of[x] not in (i, j)]
+    for x in others:
+        sx = geo.shadow(g, x, i)
+        for e, se in edges:
+            if g.incident(e, x) != (se <= sx):
+                return False
+    return True
+
+
+def random_geometry(rng):
+    """Rank 2-4, at most 12 elements, every type present, each pair of
+    distinct types incident with one random density."""
+    rank = rng.randint(2, 4)
+    m = rng.randint(rank, 12)
+    types = list(range(rank)) + [rng.randrange(rank)
+                                 for _ in range(m - rank)]
+    density = rng.random()
+    pairs = [(x, y) for x in range(m) for y in range(x + 1, m)
+             if types[x] != types[y] and rng.random() < density]
+    return geo.build_geometry(rank, types, pairs)
+
+
+def test_check_B2_matches_its_definition():
+    rng = random.Random(7)
+    seen = collections.Counter()
+    for _ in range(3000):
+        g = random_geometry(rng)
+        for leaf in itertools.permutations(range(g.rank), 2):
+            want = b2_by_definition(g, leaf)
+            assert cons.check_B2(g, leaf) == want, (geo.to_json(g), leaf)
+            i, j = leaf
+            empty = any(not geo.shadow(g, e, i)
+                        for e in g.elements_of_type(j))
+            if g.rank > 2:
+                seen[want, empty, cons.check_B1(g, leaf)] += 1
+    # both verdicts, with and without j-elements of empty shadow, and
+    # where (B1) fails; an empty shadow already breaks (B1)
+    for want in (True, False):
+        for empty, b1 in ((False, True), (False, False), (True, False)):
+            assert seen[want, empty, b1] > 0, (want, empty, b1)
 
 
 def test_bp_construction_cube(cube, tetrahedron):

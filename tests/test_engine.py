@@ -4,11 +4,11 @@ import pytest
 from hyperforge import engine
 from hyperforge import errors
 from hyperforge import geometry as geo
-from hyperforge.constructions import check_B1, check_B2
 from hyperforge.iso import isomorphic, is_flag_transitive
 from hyperforge.perms import orbit, subgroup_points
 from hyperforge.presentations import coxeter_presentation
 from hyperforge.toddcox import todd_coxeter, perm_image
+from hyperforge.toroids import ToroidParams, cubic_toroid_presentation
 
 A3 = ((1, 3, 2), (3, 1, 3), (2, 3, 1))
 B3 = ((1, 4, 2), (4, 1, 3), (2, 3, 1))
@@ -110,22 +110,19 @@ def test_parabolic_subgroup_points(cube_group):
                                         for i in subset]))
 
 
-def test_b1_algebraic_matches_combinatorial(cube_group, hemicube):
-    hpg, hgeo = hemicube
-    cg = engine.coset_geometry(cube_group)
-    assert engine.check_B1_algebraic(cube_group, (0, 1)) \
-        == check_B1(cg, (0, 1)) is True
-    assert engine.check_B1_algebraic(hpg, (2, 1)) \
-        == check_B1(hgeo, (2, 1)) is False
+@pytest.fixture(scope="module")
+def toroid_322_group():
+    return perm_image(todd_coxeter(cubic_toroid_presentation(
+        ToroidParams(3, 2, 2))))
 
 
-def test_b2_algebraic(cube_group, hemicube):
-    hpg, hgeo = hemicube
-    cg = engine.coset_geometry(cube_group)
-    assert engine.check_B2_algebraic_sufficient(cube_group, (0, 1))
-    assert check_B2(cg, (0, 1))
-    assert not engine.check_B2_algebraic_sufficient(hpg, (0, 1))
-    assert not check_B2(hgeo, (0, 1))
+# out of range, negative (which numpy would index from the end) and a
+# repeated generator (whose conjugate is itself: the whole group)
+@pytest.mark.parametrize("leaf", [(0, 9), (-1, 0), (0, 0)], ids=str)
+def test_halving_group_rejects_a_bad_leaf(toroid_322_group, leaf):
+    assert toroid_322_group.order() == 768
+    with pytest.raises(errors.InvalidParams, match="leaf"):
+        engine.halving_group(toroid_322_group, leaf)
 
 
 def test_induced_geometry_map_identity(cube_group):

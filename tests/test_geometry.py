@@ -38,6 +38,19 @@ def test_cube_diagram(cube):
     assert d.shape() == ((1, 1, 2), (3, 4))
 
 
+def test_two_cubes_are_not_residually_connected(two_cubes):
+    g = two_cubes
+    assert g.type_counts() == (15, 24, 12)
+    assert geo.is_geometry(g)
+    assert geo.is_connected(g)
+    assert geo.is_thin(g)
+    assert not geo.is_residually_connected(g)
+    # the residue of the shared vertex: two disjoint hexagons
+    r = geo.residue(g, [0])
+    assert r.type_counts() == (6, 6)
+    assert not geo.is_connected(r)
+
+
 def test_tetrahedron_counts(tetrahedron):
     assert tetrahedron.type_counts() == (4, 6, 4)
     assert geo.is_thin(tetrahedron)
@@ -137,9 +150,10 @@ def test_from_json_rejects_non_integer_ids(text):
         geo.from_json(text)
 
 
-def test_flag_limit(cube):
-    with pytest.raises(errors.SizeLimitExceeded):
-        geo.enumerate_chambers(cube, max_flags=10)
+def test_flag_limit(cube, monkeypatch):
+    monkeypatch.setattr(geo, "MAX_FLAGS", 10)
+    with pytest.raises(errors.SizeLimitExceeded, match="more than 10 flags"):
+        geo.enumerate_chambers(cube)
 
 
 @st.composite
