@@ -4,15 +4,45 @@ Elements are dense integers 0..m-1, each with a type in 0..rank-1.
 Incidence is a symmetric irreflexive relation joining elements of
 distinct types only.  A flag is a set of pairwise incident elements,
 a chamber a flag meeting every type.
+
+is_geometry, is_thin and is_residually_connected read one flag scan
+per geometry (_scan_geometry), memoised on the instance.  The scan
+also keeps the chambers, one row per chamber whose column t is its
+type-t element.  Two chambers are i-adjacent when they agree outside
+type i; sigma_i cycles each class of i-adjacent chambers.
+
+Residual connectedness is decided on this chamber system.  For a
+flag F of cotype J, let Ch(F) be the chambers containing F.  When
+|J| >= 2, the residue of F is connected if Ch(F) is connected under
+<sigma_i : i in J>: i-adjacent chambers of Ch(F) share an element of
+the residue.  Conversely, if every residue of rank >= 2 is connected,
+every Ch(F) is connected, by induction on |J| along a path x_0 ~ ...
+~ x_m of the residue: consecutive x_k, x_k+1 lie in one chamber, which
+joins Ch(F + x_k) to Ch(F + x_k+1).  In a geometry every flag lies in
+a chamber, so the flags of cotype J are the distinct rows of the
+chambers restricted to the types outside J, and each orbit of
+<sigma_i : i in J> lies in one of them.  Hence the geometry is
+residually connected exactly when, for every J with |J| >= 2, the
+orbits and the rows number the same (Buekenhout-Cohen, "Diagram
+Geometry", 2013, on chamber systems).
 """
 
+import collections
+import itertools
 import json
+import logging
 import math
+import time
+
+import numpy as np
 
 from .errors import (
     SelfIncidence, SameTypeIncidence, UnknownElement, NotAFlag,
     NotAGeometry, SizeLimitExceeded, InvalidParams,
 )
+from .perms import orbit_labels
+
+log = logging.getLogger("hyperforge")
 
 # the flags one scan may visit, empty flag included
 MAX_FLAGS = 10 ** 6
@@ -167,6 +197,7 @@ def _scan_flags(g, visit):
     visit(flag_tuple, candidates) is called once per flag; candidates
     is the frozenset of elements incident to every flag member.
     Elements are added in increasing id order so each flag is seen once.
+    Returns the number of flags visited.
     """
     count = 0
     all_elems = frozenset(range(g.nelements))
@@ -181,6 +212,7 @@ def _scan_flags(g, visit):
         for c in sorted(cand, reverse=True):
             if c > last:
                 stack.append((flag + (c,), cand & g.adjsets[c]))
+    return count
 
 
 def enumerate_chambers(g):
@@ -195,82 +227,144 @@ def enumerate_chambers(g):
     return chambers
 
 
-def _scan_geometry(g, visit):
-    """_scan_flags that also checks, in the same walk, that g is a
-    geometry: no type is empty and every maximal flag is a chamber.
-    Raises NotAGeometry after the scan when it is not."""
-    ok = [all(c > 0 for c in g.type_counts())]
+# geometry: no type is empty and every maximal flag is a chamber;
+# thin: every corank-1 flag extends in exactly two ways; chambers: an
+# int64 array, row c holding chamber c's type-t element in column t
+_Scan = collections.namedtuple("_Scan", "geometry thin chambers")
+
+
+def _scan_geometry(g, visit=None):
+    """The one flag walk behind is_geometry, is_thin and
+    is_residually_connected, memoised on g (which is immutable).
+
+    visit, when given, is also called on every flag, so the walk is
+    run again even when the memo is set.
+    """
+    scan = getattr(g, "_scan", None)
+    if scan is not None and visit is None:
+        return scan
+    start = time.perf_counter()
+    rank = g.rank
+    chambers = []
+    geometry = all(c > 0 for c in g.type_counts())
+    thin = True
 
     def check(flag, cand):
-        if not cand and len(flag) < g.rank:
-            ok[0] = False
-        visit(flag, cand)
+        nonlocal geometry, thin
+        if len(flag) == rank:
+            chambers.append(flag)
+        elif not cand:
+            geometry = False
+        elif len(flag) == rank - 1 and len(cand) != 2:
+            thin = False
+        if visit is not None:
+            visit(flag, cand)
 
-    _scan_flags(g, check)
-    if not ok[0]:
+    nflags = _scan_flags(g, check)
+    flat = np.array(chambers, dtype=np.int64).reshape(len(chambers), rank)
+    rows = np.empty_like(flat)
+    types = np.array(g.type_of, dtype=np.int64)
+    np.put_along_axis(rows, types[flat], flat, axis=1)
+    scan = _Scan(geometry, thin, rows)
+    g._scan = scan
+    log.debug("flag scan: %d flags, %d chambers, geometry %s, thin %s,"
+              " %.3f s", nflags, len(rows), scan.geometry, scan.thin,
+              time.perf_counter() - start)
+    return scan
+
+
+def _require_geometry(g):
+    """The scan of g; NotAGeometry when g is not a geometry."""
+    scan = _scan_geometry(g)
+    if not scan.geometry:
         raise NotAGeometry("input is not a geometry")
+    return scan
 
 
 def is_geometry(g):
-    """True when every maximal flag is a chamber."""
-    try:
-        _scan_geometry(g, lambda flag, cand: None)
-    except NotAGeometry:
-        return False
-    return True
-
-
-def _connected_subset(g, elems):
-    """Connectivity of the incidence graph induced on elems."""
-    elems = set(elems)
-    if len(elems) <= 1:
-        return True
-    start = next(iter(elems))
-    seen = {start}
-    todo = [start]
-    while todo:
-        x = todo.pop()
-        for y in g.adj[x]:
-            if y in elems and y not in seen:
-                seen.add(y)
-                todo.append(y)
-    return len(seen) == len(elems)
+    """True when no type is empty and every maximal flag is a chamber."""
+    return _scan_geometry(g).geometry
 
 
 def is_connected(g):
-    return _connected_subset(g, range(g.nelements))
+    """Connectivity of the incidence graph."""
+    if g.nelements <= 1:
+        return True
+    seen = {0}
+    todo = [0]
+    while todo:
+        x = todo.pop()
+        for y in g.adj[x]:
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return len(seen) == g.nelements
+
+
+def _classes(chambers, cols):
+    """Sort the chambers so that those agreeing on the columns cols
+    are consecutive: (order, starts), starts[k] being the position in
+    order where the k-th class begins."""
+    n = len(chambers)
+    base = int(chambers.max()) + 1 if chambers.size else 1
+    # one int64 code per chamber, mixed radix over cols; renumbered
+    # densely (codes < n) before a digit could overflow
+    code = np.zeros(n, dtype=np.int64)
+    bound = 1
+    for t in cols:
+        if bound > (1 << 62) // base:
+            code = np.unique(code, return_inverse=True)[1]
+            bound = n
+        code = code * base + chambers[:, t]
+        bound *= base
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = code[1:] != code[:-1]
+    return order, np.flatnonzero(new)
+
+
+def _adjacency(chambers, i):
+    """sigma_i: the permutation of the chambers that cycles each class
+    of chambers agreeing outside type i."""
+    n, rank = chambers.shape
+    order, starts = _classes(chambers, [t for t in range(rank) if t != i])
+    succ = np.arange(1, n + 1)
+    succ[np.append(starts[1:], n) - 1] = starts
+    sigma = np.empty(n, dtype=np.int64)
+    sigma[order] = order[succ]
+    return sigma
 
 
 def is_residually_connected(g):
-    """Every residue of rank >= 2 (corank >= 2 flags, incl. empty) connected."""
-    memo = {}
-    ok = [True]
-
-    def visit(flag, cand):
-        if not ok[0] or g.rank - len(flag) < 2:
-            return
-        key = cand
-        verdict = memo.get(key)
-        if verdict is None:
-            verdict = _connected_subset(g, cand)
-            memo[key] = verdict
-        if not verdict:
-            ok[0] = False
-
-    _scan_geometry(g, visit)
-    return ok[0]
+    """Every residue of rank >= 2 (corank >= 2 flags, incl. empty) is
+    connected, decided on the chamber system (see the module
+    docstring): for each cotype J with |J| >= 2, the orbits of
+    <sigma_i : i in J> must number as many as the flags of cotype J."""
+    chambers = _require_geometry(g).chambers
+    start = time.perf_counter()
+    n, rank = chambers.shape
+    sigma = [_adjacency(chambers, i) for i in range(rank)]
+    checked = 0
+    for size in range(2, rank + 1):
+        for J in itertools.combinations(range(rank), size):
+            checked += 1
+            _, norbits = orbit_labels([sigma[i] for i in J], n)
+            _, starts = _classes(chambers,
+                                 [t for t in range(rank) if t not in J])
+            if norbits != len(starts):
+                log.debug("residual connectedness: False at cotype %s,"
+                          " %d cotypes checked, %.3f s", J, checked,
+                          time.perf_counter() - start)
+                return False
+    log.debug("residual connectedness: True, %d cotypes checked, %.3f s",
+              checked, time.perf_counter() - start)
+    return True
 
 
 def is_thin(g):
     """Every corank-1 flag extends in exactly two ways."""
-    ok = [True]
-
-    def visit(flag, cand):
-        if len(flag) == g.rank - 1 and len(cand) != 2:
-            ok[0] = False
-
-    _scan_geometry(g, visit)
-    return ok[0]
+    return _require_geometry(g).thin
 
 
 def rank2_label(g, points, lines):
@@ -390,7 +484,8 @@ def buekenhout_diagram(g):
             lab = rank2_label(g, pts, lns)
             seen[(i, j)][lab] = seen[(i, j)].get(lab, 0) + 1
 
-    _scan_geometry(g, visit)
+    if not _scan_geometry(g, visit).geometry:
+        raise NotAGeometry("input is not a geometry")
     return BuekenhoutDiagram(g.rank, {pair: tuple(sorted(labs.items()))
                                       for pair, labs in seen.items()})
 

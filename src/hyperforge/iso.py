@@ -9,6 +9,8 @@ from .errors import SizeLimitExceeded, NotAnAction
 from . import geometry as geo
 from .perms import PermGroup
 
+# the most elements a search accepts; read at each call, like
+# geometry.MAX_FLAGS
 DEFAULT_MAX_ELEMENTS = 5000
 
 
@@ -91,12 +93,21 @@ def _search(g1, g2, colors1, colors2, collect_all):
             return
 
 
-def find_isomorphism(g1, g2, max_elements=DEFAULT_MAX_ELEMENTS):
+def _check_size(g, max_elements):
+    """SizeLimitExceeded when g has more than max_elements elements
+    (DEFAULT_MAX_ELEMENTS when None)."""
+    if max_elements is None:
+        max_elements = DEFAULT_MAX_ELEMENTS
+    if g.nelements > max_elements:
+        raise SizeLimitExceeded("%d elements, more than %d"
+                                % (g.nelements, max_elements))
+
+
+def find_isomorphism(g1, g2, max_elements=None):
     """A type-preserving isomorphism g1 -> g2 as an id list, or None."""
     if g1.rank != g2.rank or g1.nelements != g2.nelements:
         return None
-    if g1.nelements > max_elements:
-        raise SizeLimitExceeded("%d elements" % g1.nelements)
+    _check_size(g1, max_elements)
     if g1.type_counts() != g2.type_counts():
         return None
     for mapping in _search(g1, g2, list(g1.type_of), list(g2.type_of), False):
@@ -104,14 +115,13 @@ def find_isomorphism(g1, g2, max_elements=DEFAULT_MAX_ELEMENTS):
     return None
 
 
-def isomorphic(g1, g2, max_elements=DEFAULT_MAX_ELEMENTS):
+def isomorphic(g1, g2, max_elements=None):
     return find_isomorphism(g1, g2, max_elements) is not None
 
 
-def automorphism_group(g, max_elements=DEFAULT_MAX_ELEMENTS):
+def automorphism_group(g, max_elements=None):
     """All type-preserving automorphisms of g as a PermGroup."""
-    if g.nelements > max_elements:
-        raise SizeLimitExceeded("%d elements" % g.nelements)
+    _check_size(g, max_elements)
     maps = list(_search(g, g, list(g.type_of), list(g.type_of), True))
     maps.sort()
     identity = list(range(g.nelements))
@@ -130,7 +140,7 @@ def validate_action(g, action):
                               " and incidence" % x)
 
 
-def is_flag_transitive(g, action=None, max_elements=DEFAULT_MAX_ELEMENTS):
+def is_flag_transitive(g, action=None, max_elements=None):
     """Transitivity on chambers of the given action (or of Aut(g))."""
     if action is None:
         action = automorphism_group(g, max_elements)

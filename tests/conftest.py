@@ -63,6 +63,14 @@ def make_triangle():
     return geo.build_geometry(2, [0, 0, 0, 1, 1, 1], pairs)
 
 
+def make_polygon(m):
+    """The m-gon: points 0..m-1, lines m..2m-1, line i joins i and
+    i+1."""
+    pairs = [(i, m + i) for i in range(m)] + \
+        [((i + 1) % m, m + i) for i in range(m)]
+    return geo.build_geometry(2, [0] * m + [1] * m, pairs)
+
+
 def make_square_pyramid():
     """Face lattice of the square pyramid: base square 0-1-2-3 and
     apex 4."""

@@ -9,6 +9,8 @@ from hyperforge import geometry as geo
 from hyperforge import presentations as pres
 from hyperforge.toroids import ToroidParams, cubic_toroid_presentation
 
+from conftest import make_polygon
+
 
 def run(argv):
     return cli.main(argv)
@@ -223,6 +225,15 @@ def test_enumerate_bad_subgroup_word(tmp_path, capsys):
     assert run(["enumerate", "--presentation", str(pfile),
                 "--subgroup", "x"]) == 2
     assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_automorphism_search_limit_names_itself(tmp_path, capsys):
+    # a 2501-gon: 5002 elements, two above the automorphism search's limit
+    src = tmp_path / "polygon.json"
+    src.write_text(geo.to_json(make_polygon(2501)))
+    assert run(["check", str(src), "--props", "ft"]) == 3
+    assert capsys.readouterr().err \
+        == "limit exceeded: 5002 elements, more than 5000\n"
 
 
 def test_check_bad_leaf_index(tmp_path, capsys, triangle):

@@ -1,5 +1,8 @@
-import math
+import itertools
+import logging
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +10,8 @@ from hyperforge import geometry as geo
 from hyperforge import errors
 from hyperforge.iso import isomorphic
 
-from conftest import make_cube
+from conftest import make_cube, make_polygon, make_tetrahedron, \
+    make_two_cubes
 
 
 def test_cube_counts(cube):
@@ -164,12 +168,7 @@ def polygon_sizes(draw):
 @given(polygon_sizes())
 @settings(max_examples=25, deadline=None)
 def test_polygon_properties(m):
-    # the m-gon: points 0..m-1, lines m..2m-1, line i joins i and i+1
-    pairs = []
-    for i in range(m):
-        pairs.append((i, m + i))
-        pairs.append(((i + 1) % m, m + i))
-    g = geo.build_geometry(2, [0] * m + [1] * m, pairs)
+    g = make_polygon(m)
     assert geo.is_geometry(g)
     assert geo.is_thin(g)
     assert len(geo.enumerate_chambers(g)) == 2 * m
@@ -178,3 +177,177 @@ def test_polygon_properties(m):
         assert d.is_digon(0, 1)
     else:
         assert d.label(0, 1)[0] == m
+
+
+def by_definition(g):
+    """(geometry, thin, residually connected) read off every flag: a
+    geometry has no empty type and no maximal flag short of a chamber;
+    it is thin when every corank-1 flag extends in two ways, and
+    residually connected when the incidence graph on every corank >= 2
+    flag's residue is connected.  The last two are None for a
+    non-geometry."""
+    geometry = all(c > 0 for c in g.type_counts())
+    thin = rc = True
+
+    def connected(elems):
+        if len(elems) <= 1:
+            return True
+        start = next(iter(elems))
+        seen = {start}
+        todo = [start]
+        while todo:
+            x = todo.pop()
+            for y in g.adj[x]:
+                if y in elems and y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        return len(seen) == len(elems)
+
+    def visit(flag, cand):
+        nonlocal geometry, thin, rc
+        corank = g.rank - len(flag)
+        if corank > 0 and not cand:
+            geometry = False
+        if corank == 1 and len(cand) != 2:
+            thin = False
+        if corank >= 2 and not connected(cand):
+            rc = False
+
+    geo._scan_flags(g, visit)
+    return (geometry, thin, rc) if geometry else (False, None, None)
+
+
+QUERIES = (geo.is_geometry, geo.is_thin, geo.is_residually_connected)
+
+
+def outcome(query, g):
+    """query(g), or None when it raises NotAGeometry."""
+    try:
+        return query(g)
+    except errors.NotAGeometry:
+        return None
+
+
+def verdicts(g):
+    return tuple(outcome(query, g) for query in QUERIES)
+
+
+def random_incidence_system(rng):
+    """Rank 1-4, 1-4 elements per type in a shuffled id order, each
+    pair of elements of distinct types incident with one probability
+    in 0.3-0.9."""
+    rank = rng.randint(1, 4)
+    types = [t for t in range(rank) for _ in range(rng.randint(1, 4))]
+    rng.shuffle(types)
+    p = rng.uniform(0.3, 0.9)
+    pairs = [(x, y) for x, y in itertools.combinations(range(len(types)), 2)
+             if types[x] != types[y] and rng.random() < p]
+    return geo.build_geometry(rank, types, pairs)
+
+
+def test_verdicts_match_the_definitions_on_random_systems():
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(3000):
+        g = random_incidence_system(rng)
+        want = by_definition(g)
+        assert verdicts(g) == want
+        seen.add(want[::2])
+    # geometries that are and are not residually connected, and
+    # non-geometries, on which both sides raise
+    assert seen == {(True, True), (True, False), (False, None)}
+
+
+def glue(a, b, shared):
+    """a and b side by side, with shared mapping an element of b to the
+    element of a it is identified with."""
+    fresh = [y for y in range(b.nelements) if y not in shared]
+    ids = dict(shared)
+    for k, y in enumerate(fresh):
+        ids[y] = a.nelements + k
+    types = list(a.type_of) + [b.type_of[y] for y in fresh]
+    pairs = a.incidence_pairs() + [(ids[x], ids[y])
+                                   for x, y in b.incidence_pairs()]
+    return geo.build_geometry(a.rank, types, pairs)
+
+
+def test_glued_controls(toroid_313):
+    cube, tet = make_cube(), make_tetrahedron()
+    _, toroid = toroid_313
+    # tetrahedron ids 0..3 are its vertices and 4 the edge {0, 1}
+    assert tet.type_of[4] == 1 and set(tet.adj[4]) >= {0, 1}
+    assert toroid.type_of[0] == 0
+    cases = [
+        (glue(cube, cube, {}), False),
+        (glue(tet, tet, {0: 0}), False),
+        (glue(tet, tet, {0: 0, 1: 1, 4: 4}), True),
+        (glue(toroid, toroid, {0: 0}), False),
+    ]
+    for g, rc in cases:
+        assert geo.is_geometry(g)
+        assert geo.is_residually_connected(g) is rc
+        assert by_definition(g)[2] is rc
+
+
+def test_classes_agree_with_row_grouping():
+    # element ids this large make the mixed-radix code renumber itself
+    rng = np.random.default_rng(7)
+    chambers = rng.integers(0, 3, size=(200, 5)) * 10 ** 6
+    for cols in ([], [2], [0, 3], [0, 1, 2, 3, 4]):
+        order, starts = geo._classes(chambers, cols)
+        bounds = list(starts) + [len(chambers)]
+        got = sorted(sorted(order[lo:hi].tolist())
+                     for lo, hi in zip(bounds, bounds[1:]))
+        want = {}
+        for c, row in enumerate(chambers[:, cols].tolist()):
+            want.setdefault(tuple(row), []).append(c)
+        assert got == sorted(want.values())
+
+
+MEMO_CASES = {
+    "cube": make_cube,
+    "two cubes": make_two_cubes,
+    "non-geometry": lambda: geo.build_geometry(
+        3, [0, 1, 2, 0], [(0, 1), (1, 2), (0, 2)]),
+    "pentagon": lambda: make_polygon(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_CASES))
+def test_memo_is_invisible(name):
+    make = MEMO_CASES[name]
+    want = {q: outcome(q, make()) for q in QUERIES}
+    for order in itertools.permutations(QUERIES):
+        g = make()
+        for query in order + order:
+            assert outcome(query, g) == want[query], query.__name__
+
+
+@pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.__name__)
+def test_flag_limit_trips_before_the_memo(query, monkeypatch):
+    g = make_cube()
+    monkeypatch.setattr(geo, "MAX_FLAGS", 10)
+    for _ in range(2):
+        with pytest.raises(errors.SizeLimitExceeded,
+                           match="more than 10 flags"):
+            query(g)
+    assert getattr(g, "_scan", None) is None
+    monkeypatch.undo()
+    assert query(g) is True
+
+
+def test_scan_and_rc_are_logged(caplog):
+    caplog.set_level(logging.DEBUG, logger="hyperforge")
+    assert geo.is_residually_connected(make_cube())
+    assert not geo.is_residually_connected(make_two_cubes())
+    lines = [r.getMessage() for r in caplog.records]
+    assert len(lines) == 4
+    # the cube's flags: the empty one, 26 elements, 72 pairs, 48 chambers
+    assert lines[0].startswith("flag scan: 147 flags, 48 chambers,"
+                               " geometry True, thin True, ")
+    assert lines[1].startswith("residual connectedness: True,"
+                               " 4 cotypes checked, ")
+    assert lines[2].startswith("flag scan: 292 flags, 96 chambers,")
+    # the shared vertex's residue, of cotype {1, 2}, is two hexagons
+    assert lines[3].startswith("residual connectedness: False at cotype"
+                               " (1, 2), 3 cotypes checked, ")

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hyperforge import geometry as geo
-from hyperforge import errors
+from hyperforge import errors, iso
 from hyperforge.iso import (
     find_isomorphism, isomorphic, automorphism_group, validate_action,
     is_flag_transitive,
@@ -86,3 +86,15 @@ def test_size_limit():
     g = geo.build_geometry(1, [0] * 10, [])
     with pytest.raises(errors.SizeLimitExceeded):
         find_isomorphism(g, g, max_elements=5)
+
+
+def test_default_size_limit_is_read_at_call_time(cube, monkeypatch):
+    monkeypatch.setattr(iso, "DEFAULT_MAX_ELEMENTS", 25)
+    for search in (lambda: find_isomorphism(cube, cube),
+                   lambda: automorphism_group(cube),
+                   lambda: is_flag_transitive(cube)):
+        with pytest.raises(errors.SizeLimitExceeded,
+                           match="^26 elements, more than 25$"):
+            search()
+    monkeypatch.setattr(iso, "DEFAULT_MAX_ELEMENTS", 26)
+    assert automorphism_group(cube).order() == 48
