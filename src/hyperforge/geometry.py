@@ -5,9 +5,9 @@ Incidence is a symmetric irreflexive relation joining elements of
 distinct types only.  A flag is a set of pairwise incident elements,
 a chamber a flag meeting every type.
 
-is_geometry, is_thin and is_residually_connected read one flag scan
-per geometry (_scan_geometry), memoised on the instance.  The scan
-also keeps the chambers, one row per chamber whose column t is its
+Every chamber query, iso.is_flag_transitive included, reads one flag
+scan per geometry (_scan_geometry), memoised on the instance.  The
+scan keeps the chambers, one row per chamber whose column t is its
 type-t element.  Two chambers are i-adjacent when they agree outside
 type i; sigma_i cycles each class of i-adjacent chambers.
 
@@ -216,15 +216,9 @@ def _scan_flags(g, visit):
 
 
 def enumerate_chambers(g):
-    chambers = []
-
-    def visit(flag, cand):
-        if len(flag) == g.rank:
-            chambers.append(flag)
-
-    _scan_flags(g, visit)
-    chambers.sort()
-    return chambers
+    """The chambers as sorted tuples of element ids, in increasing order."""
+    return sorted(tuple(sorted(row))
+                  for row in _scan_geometry(g).chambers.tolist())
 
 
 # geometry: no type is empty and every maximal flag is a chamber;
@@ -233,15 +227,11 @@ def enumerate_chambers(g):
 _Scan = collections.namedtuple("_Scan", "geometry thin chambers")
 
 
-def _scan_geometry(g, visit=None):
-    """The one flag walk behind is_geometry, is_thin and
-    is_residually_connected, memoised on g (which is immutable).
-
-    visit, when given, is also called on every flag, so the walk is
-    run again even when the memo is set.
-    """
+def _scan_geometry(g):
+    """The one flag walk behind every chamber query, memoised on g
+    (which is immutable)."""
     scan = getattr(g, "_scan", None)
-    if scan is not None and visit is None:
+    if scan is not None:
         return scan
     start = time.perf_counter()
     rank = g.rank
@@ -257,8 +247,6 @@ def _scan_geometry(g, visit=None):
             geometry = False
         elif len(flag) == rank - 1 and len(cand) != 2:
             thin = False
-        if visit is not None:
-            visit(flag, cand)
 
     nflags = _scan_flags(g, check)
     flat = np.array(chambers, dtype=np.int64).reshape(len(chambers), rank)
@@ -466,28 +454,24 @@ def diagram_shape(rank, edges):
 
 
 def buekenhout_diagram(g):
-    """Labels of every rank-2 residue, collected in one flag scan: a
-    flag of corank 2 names its type pair, and residues with the same
-    points and lines are counted once."""
-    seen = {(i, j): {} for i in range(g.rank) for j in range(i + 1, g.rank)}
-    done = set()
-
-    def visit(flag, cand):
-        if len(flag) != g.rank - 2:
-            return
-        i, j = sorted(set(range(g.rank)) - {g.type_of[x] for x in flag})
-        pts = frozenset(x for x in cand if g.type_of[x] == i)
-        lns = frozenset(x for x in cand if g.type_of[x] == j)
-        key = (i, j, pts, lns)
-        if key not in done:
-            done.add(key)
-            lab = rank2_label(g, pts, lns)
-            seen[(i, j)][lab] = seen[(i, j)].get(lab, 0) + 1
-
-    if not _scan_geometry(g, visit).geometry:
-        raise NotAGeometry("input is not a geometry")
-    return BuekenhoutDiagram(g.rank, {pair: tuple(sorted(labs.items()))
-                                      for pair, labs in seen.items()})
+    """Labels of every rank-2 residue, read off the chambers.  Those
+    agreeing outside types i, j contain one flag F of cotype {i, j},
+    and their columns i, j are the points and lines of F's residue: in
+    a geometry, F + {p, l} is a chamber exactly when p and l are
+    incident.  Residues with the same points and lines count once."""
+    chambers = _require_geometry(g).chambers
+    entries = {}
+    for i, j in itertools.combinations(range(g.rank), 2):
+        order, starts = _classes(chambers, [t for t in range(g.rank)
+                                            if t not in (i, j)])
+        residues = set()
+        for block in np.split(chambers[order], starts[1:]):
+            residues.add((frozenset(block[:, i].tolist()),
+                          frozenset(block[:, j].tolist())))
+        labels = collections.Counter(rank2_label(g, points, lines)
+                                     for points, lines in residues)
+        entries[(i, j)] = tuple(sorted(labels.items()))
+    return BuekenhoutDiagram(g.rank, entries)
 
 
 def preserves_incidence(ga, gb, element_map, type_map):

@@ -3,11 +3,25 @@
 Backtracking over a colour refinement where the initial colour of an
 element is its type and refinement signatures are multisets of
 neighbour colours.  Deterministic: ties are broken by smallest id.
+
+Flag transitivity of Aut(g) needs no group.  Chamber 0's targets are
+its neighbours (chambers differing from it in one type) and one
+chamber of each other component of the neighbour graph; one search
+per target, with chamber 0's and the target's type-t elements coloured
+rank + t, must find a map.  An alpha sending chamber 0 to d sends 0's
+neighbours onto d's, so the orbit of chamber 0 is closed under
+adjacency and meets every component, in any incidence system.
 """
+
+import collections
+import logging
+import time
+
+import numpy as np
 
 from .errors import SizeLimitExceeded, NotAnAction
 from . import geometry as geo
-from .perms import PermGroup
+from .perms import PermGroup, orbit_labels
 
 # the most elements a search accepts; read at each call, like
 # geometry.MAX_FLAGS
@@ -39,16 +53,9 @@ def _refine(adjs, colors_list):
         colors_list = new
 
 
-def _histogram(colors):
-    h = {}
-    for c in colors:
-        h[c] = h.get(c, 0) + 1
-    return h
-
-
 def _target_cell(colors):
     """Smallest colour class of size > 1, ties by colour value."""
-    h = _histogram(colors)
+    h = collections.Counter(colors)
     best = None
     for c, n in sorted(h.items()):
         if n > 1 and (best is None or n < h[best]):
@@ -57,16 +64,14 @@ def _target_cell(colors):
 
 
 def _extract_map(colors1, colors2):
-    pos = {}
-    for e, c in enumerate(colors2):
-        pos[c] = e
+    pos = {c: e for e, c in enumerate(colors2)}
     return [pos[c] for c in colors1]
 
 
-def _search(g1, g2, colors1, colors2, collect_all):
-    """Backtracking isomorphism search; yields verified maps."""
+def _search(g1, g2, colors1, colors2):
+    """Backtracking isomorphism search; lazily yields every verified map."""
     colors1, colors2 = _refine([g1.adj, g2.adj], [colors1, colors2])
-    if _histogram(colors1) != _histogram(colors2):
+    if collections.Counter(colors1) != collections.Counter(colors2):
         return
     cell = _target_cell(colors1)
     if cell is None:
@@ -79,18 +84,10 @@ def _search(g1, g2, colors1, colors2, collect_all):
     c1 = list(colors1)
     c1[a] = fresh
     for b in range(len(colors2)):
-        if colors2[b] != cell:
-            continue
-        c2 = list(colors2)
-        c2[b] = fresh
-        yielded = False
-        for mapping in _search(g1, g2, c1, c2, collect_all):
-            yielded = True
-            yield mapping
-            if not collect_all:
-                return
-        if yielded and not collect_all:
-            return
+        if colors2[b] == cell:
+            c2 = list(colors2)
+            c2[b] = fresh
+            yield from _search(g1, g2, c1, c2)
 
 
 def _check_size(g, max_elements):
@@ -110,9 +107,7 @@ def find_isomorphism(g1, g2, max_elements=None):
     _check_size(g1, max_elements)
     if g1.type_counts() != g2.type_counts():
         return None
-    for mapping in _search(g1, g2, list(g1.type_of), list(g2.type_of), False):
-        return mapping
-    return None
+    return next(_search(g1, g2, list(g1.type_of), list(g2.type_of)), None)
 
 
 def isomorphic(g1, g2, max_elements=None):
@@ -122,8 +117,7 @@ def isomorphic(g1, g2, max_elements=None):
 def automorphism_group(g, max_elements=None):
     """All type-preserving automorphisms of g as a PermGroup."""
     _check_size(g, max_elements)
-    maps = list(_search(g, g, list(g.type_of), list(g.type_of), True))
-    maps.sort()
+    maps = sorted(_search(g, g, list(g.type_of), list(g.type_of)))
     identity = list(range(g.nelements))
     gens = [m for m in maps if m != identity]
     return PermGroup(g.nelements, gens, order=len(maps))
@@ -141,24 +135,45 @@ def validate_action(g, action):
 
 
 def is_flag_transitive(g, action=None, max_elements=None):
-    """Transitivity on chambers of the given action (or of Aut(g))."""
+    """Transitivity on chambers of the given action, by its chamber
+    orbits, or of Aut(g), by the searches of the module docstring."""
+    start = time.perf_counter()
     if action is None:
-        action = automorphism_group(g, max_elements)
+        _check_size(g, max_elements)
+        how = "Aut: pinned searches from chamber 0"
     else:
         validate_action(g, action)
-    chambers = geo.enumerate_chambers(g)
-    if not chambers:
-        return True
-    chamber_set = set(chambers)
-    orbit = {chambers[0]}
-    todo = [chambers[0]]
-    while todo:
-        ch = todo.pop()
-        for p in action.gens:
-            img = tuple(sorted(int(p[x]) for x in ch))
-            if img not in orbit:
-                if img not in chamber_set:
-                    raise NotAnAction("chamber image is not a chamber")
-                orbit.add(img)
-                todo.append(img)
-    return len(orbit) == len(chambers)
+        how = "given action: chamber orbits"
+    chambers = geo._scan_geometry(g).chambers
+    n = len(chambers)
+    searched = 0
+    failure = ""
+    if action is not None:
+        index = {row: c for c, row in enumerate(map(tuple, chambers.tolist()))}
+        perms = [[index.get(row) for row in map(tuple, p[chambers].tolist())]
+                 for p in action.gens]
+        if any(None in images for images in perms):
+            raise NotAnAction("chamber image is not a chamber")
+        norbits = orbit_labels(perms, n)[1]
+        if norbits > 1:
+            failure = ", %d chamber orbits" % norbits
+    elif n:
+        near = (chambers == chambers[0]).sum(axis=1) >= g.rank - 1
+        sigma = [geo._adjacency(chambers, i) for i in range(g.rank)]
+        labels, _ = orbit_labels(sigma, n)
+        firsts = np.unique(labels, return_index=True)[1]
+        # chamber 0 heads both lists and needs no search
+        targets = sorted(set(np.flatnonzero(near)) | set(firsts))[1:]
+        for searched, c in enumerate(targets, 1):
+            # type-t elements of chambers 0 and c recoloured rank + t
+            pins = np.array([g.type_of, g.type_of])
+            pins[0, chambers[0]] += g.rank
+            pins[1, chambers[c]] += g.rank
+            if next(_search(g, g, *pins.tolist()), None) is None:
+                failure = ", no automorphism to chamber %d" % c
+                break
+    logging.getLogger("hyperforge").debug(
+        "flag transitivity (%s): %d chambers, %d targets searched, %s%s,"
+        " %.3f s", how, n, searched, not failure, failure,
+        time.perf_counter() - start)
+    return not failure

@@ -236,6 +236,35 @@ def test_automorphism_search_limit_names_itself(tmp_path, capsys):
         == "limit exceeded: 5002 elements, more than 5000\n"
 
 
+@pytest.mark.parametrize("cell, leaf", [
+    ((3, 1, 3), None), ((3, 1, 3), "0,1"), ((4, 2, 2), None),
+], ids=["313", "313-halved", "422"])
+def test_check_flag_transitive_toroids(tmp_path, cell, leaf):
+    src = tmp_path / "toroid.json"
+    n, k, s = cell
+    assert run(["build", "toroid", "--n", str(n), "--k", str(k),
+                "--s", str(s), "-o", str(src)]) == 0
+    if leaf is not None:
+        toroid, src = src, tmp_path / "halved.json"
+        assert run(["halve", str(toroid), "--leaf", leaf,
+                    "-o", str(src)]) == 0
+    out = tmp_path / "report.json"
+    assert run(["check", str(src), "--props", "thin,rc,ft",
+                "-o", str(out)]) == 0
+    assert json.loads(out.read_text()) == {"thin": True, "rc": True,
+                                           "ft": True}
+
+
+def test_check_flag_transitive_without_chambers(tmp_path):
+    # a point and a line that are not incident: no chamber to move
+    src = tmp_path / "apart.json"
+    src.write_text(json.dumps({"rank": 2, "elements": [
+        {"id": 0, "type": 0}, {"id": 1, "type": 1}], "incidences": []}))
+    out = tmp_path / "report.json"
+    assert run(["check", str(src), "--props", "ft", "-o", str(out)]) == 0
+    assert json.loads(out.read_text()) == {"ft": True}
+
+
 def test_check_bad_leaf_index(tmp_path, capsys, triangle):
     tri = tmp_path / "triangle.json"
     tri.write_text(geo.to_json(triangle))

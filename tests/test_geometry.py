@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperforge import geometry as geo
-from hyperforge import errors
-from hyperforge.iso import isomorphic
+from hyperforge import constructions as cons
+from hyperforge import errors, toroids
+from hyperforge.iso import isomorphic, is_flag_transitive
 
 from conftest import make_cube, make_polygon, make_tetrahedron, \
     make_two_cubes
@@ -154,7 +155,9 @@ def test_from_json_rejects_non_integer_ids(text):
         geo.from_json(text)
 
 
-def test_flag_limit(cube, monkeypatch):
+def test_flag_limit(monkeypatch):
+    # a fresh cube: a scanned one answers from its memo
+    cube = make_cube()
     monkeypatch.setattr(geo, "MAX_FLAGS", 10)
     with pytest.raises(errors.SizeLimitExceeded, match="more than 10 flags"):
         geo.enumerate_chambers(cube)
@@ -258,6 +261,55 @@ def test_verdicts_match_the_definitions_on_random_systems():
     assert seen == {(True, True), (True, False), (False, None)}
 
 
+def diagram_by_flags(g):
+    """buekenhout_diagram(g).entries read off every corank-2 flag: the
+    flag's candidates of the two missing types are its residue's
+    points and lines, and residues with the same points and lines
+    count once."""
+    seen = {pair: {} for pair in itertools.combinations(range(g.rank), 2)}
+    done = set()
+
+    def visit(flag, cand):
+        if len(flag) != g.rank - 2:
+            return
+        i, j = sorted(set(range(g.rank)) - {g.type_of[x] for x in flag})
+        pts = frozenset(x for x in cand if g.type_of[x] == i)
+        lns = frozenset(x for x in cand if g.type_of[x] == j)
+        key = (i, j, pts, lns)
+        if key not in done:
+            done.add(key)
+            lab = geo.rank2_label(g, pts, lns)
+            seen[(i, j)][lab] = seen[(i, j)].get(lab, 0) + 1
+
+    geo._scan_flags(g, visit)
+    return {pair: tuple(sorted(labs.items())) for pair, labs in seen.items()}
+
+
+def test_diagram_matches_the_flag_walk_on_random_systems():
+    rng = random.Random(20261018)
+    geometries = 0
+    for _ in range(3000):
+        g = random_incidence_system(rng)
+        if not geo.is_geometry(g):
+            with pytest.raises(errors.NotAGeometry):
+                geo.buekenhout_diagram(g)
+            continue
+        geometries += 1
+        assert geo.buekenhout_diagram(g).entries == diagram_by_flags(g)
+    assert geometries > 1000
+
+
+@pytest.mark.parametrize("cell", [(3, 2, 2), (3, 1, 3), (3, 3, 2)],
+                         ids=lambda c: "%d%d%d" % c)
+def test_diagram_matches_the_flag_walk_on_toroids(cell):
+    _, g = toroids.build_cubic_toroid(toroids.ToroidParams(*cell))
+    h = cons.halving_geometry(g, (0, 1))
+    hh = cons.halving_geometry(h, (3, 2))
+    for stage in (g, h, hh):
+        assert geo.buekenhout_diagram(stage).entries \
+            == diagram_by_flags(stage)
+
+
 def glue(a, b, shared):
     """a and b side by side, with shared mapping an element of b to the
     element of a it is identified with."""
@@ -323,7 +375,9 @@ def test_memo_is_invisible(name):
             assert outcome(query, g) == want[query], query.__name__
 
 
-@pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.__name__)
+@pytest.mark.parametrize("query", QUERIES + (
+    geo.enumerate_chambers, geo.buekenhout_diagram, is_flag_transitive),
+    ids=lambda q: q.__name__)
 def test_flag_limit_trips_before_the_memo(query, monkeypatch):
     g = make_cube()
     monkeypatch.setattr(geo, "MAX_FLAGS", 10)
@@ -333,7 +387,10 @@ def test_flag_limit_trips_before_the_memo(query, monkeypatch):
             query(g)
     assert getattr(g, "_scan", None) is None
     monkeypatch.undo()
-    assert query(g) is True
+    got = query(g)
+    assert repr(got) == repr(query(make_cube()))
+    assert got is True or query in (geo.enumerate_chambers,
+                                    geo.buekenhout_diagram)
 
 
 def test_scan_and_rc_are_logged(caplog):
