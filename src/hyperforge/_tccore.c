@@ -1,6 +1,8 @@
 /* Compiled HLT coset enumeration kernel with lookahead.
  *
- * Mirrors _tcpure.py statement for statement; keep the two in sync.
+ * Makes the same sequence of definitions, deductions, merges, lookaheads
+ * and compactions as _tcpure.py, so the two return bit-identical tables;
+ * the kernel-agreement tests in tests/test_toddcox.py check this.
  * Coset ids are C ints (toddcox.MAX_COSETS_BOUND), counters are longs.
  * When an allocation fails, grow() and compact() set st->nomem and
  * return as though the coset limit were hit; enumerate_cosets then

@@ -2,12 +2,15 @@
 
 Picks the compiled kernel (_tccore.c, a C extension built when a C
 compiler is present) when it is importable, otherwise the pure-Python
-one (_tcpure.py), which it mirrors; both produce identical tables.
-Completed tables are verified by replaying every relator from every
-coset and every subgroup word from coset 0.
+one (_tcpure.py).  Both make the same sequence of definitions,
+deductions, merges, lookaheads and compactions, so their tables are
+bit-identical.  Completed tables are verified by replaying every
+relator from every coset and every subgroup word from coset 0.
 """
 
+import logging
 import os
+import time
 
 import numpy as np
 
@@ -62,22 +65,21 @@ class CosetTable:
 
 
 def _verify(t, relators):
-    n = t.ncosets
-    idx = np.arange(n)
+    idx = np.arange(t.ncosets)
+    cols = [np.ascontiguousarray(t.table[:, x]) for x in range(t.ngens)]
     for word in relators:
         cur = idx
         for x in word:
-            cur = t.table[cur, x]
+            cur = cols[x][cur]
         if not np.array_equal(cur, idx):
             raise IncompleteTable("relator %r does not close" % (word,))
     for word in t.subgens:
         c = 0
         for x in word:
-            c = int(t.table[c, x])
+            c = int(cols[x][c])
         if c != 0:
             raise IncompleteTable("subgroup word %r leaves coset 0" % (word,))
-    for x in range(t.ngens):
-        col = t.table[:, x]
+    for x, col in enumerate(cols):
         if not np.array_equal(col[col], idx):
             raise IncompleteTable("generator %d is not an involution" % x)
 
@@ -100,16 +102,23 @@ def todd_coxeter(p, subgens=(), max_cosets=None, backend=None):
     if backend == "compiled":
         if _tccore is None:
             raise InvalidParams("compiled kernel not available")
-        flat = _tccore.enumerate_cosets(p.ngens, list(p.relators),
-                                        subgens, max_cosets)
+        kernel = _tccore
     elif backend == "pure":
-        flat = _tcpure.enumerate_cosets(p.ngens, list(p.relators),
-                                        subgens, max_cosets)
+        kernel = _tcpure
     else:
         raise InvalidParams("unknown backend %r" % (backend,))
+    t0 = time.perf_counter()
+    flat = kernel.enumerate_cosets(p.ngens, list(p.relators), subgens,
+                                   max_cosets)
+    logging.getLogger("hyperforge").debug(
+        "enumeration on the %s kernel: %d generators, %d relators, "
+        "%s cosets, %.3f s", backend, p.ngens, len(p.relators),
+        ">%d" % max_cosets if flat is None else len(flat) // p.ngens,
+        time.perf_counter() - t0)
     if flat is None:
         raise Overflow(max_cosets)
     table = np.asarray(flat, dtype=np.int64).reshape(-1, p.ngens)
+    del flat  # free the list before _verify copies the columns
     t = CosetTable(p.ngens, table, subgens)
     _verify(t, p.relators)
     return t

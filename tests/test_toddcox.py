@@ -1,3 +1,7 @@
+import hashlib
+import logging
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -7,7 +11,10 @@ from hyperforge.presentations import GroupPresentation, coxeter_presentation
 from hyperforge.toddcox import (
     todd_coxeter, perm_image, default_max_cosets, DEFAULT_MAX_COSETS,
 )
-from hyperforge.toroids import ToroidParams, cubic_toroid_presentation
+from hyperforge.toroids import (
+    ToroidParams, cubic_toroid_presentation, double_halved_presentation,
+    halved_presentation,
+)
 
 A3 = coxeter_presentation(((1, 3, 2), (3, 1, 3), (2, 3, 1)))
 B3 = coxeter_presentation(((1, 4, 2), (4, 1, 3), (2, 3, 1)))
@@ -92,11 +99,43 @@ def test_csv_shape():
     cubic_toroid_presentation(ToroidParams(3, 1, 3)),
     # 65,544 rows: runs the periodic lookahead and compaction
     cubic_toroid_presentation(ToroidParams(4, 1, 3)),
+    # closure relators: most definitions end in a coincidence
+    halved_presentation(ToroidParams(3, 1, 3)),
+    double_halved_presentation(ToroidParams(3, 1, 3)),
+    # 85,685 rows: lookaheads that merge cosets, with long closure words
+    halved_presentation(ToroidParams(4, 1, 3)),
 ])
 def test_backends_agree(pres, compiled_kernel):
     tp = todd_coxeter(pres, backend="pure")
     tc = todd_coxeter(pres, backend="compiled")
     assert np.array_equal(tp.table, tc.table)
+
+
+@pytest.mark.parametrize("pres, digest", [
+    (cubic_toroid_presentation(ToroidParams(4, 1, 3)),
+     "448dadbbe72f077cfcacac9aabf6e2421be911da439785d99cb5a839df1ed2d6"),
+    (halved_presentation(ToroidParams(3, 1, 3)),
+     "3f162d159c5d2520128fd3753226fd4d1864e2a156ca466334e824518d2b1933"),
+    (double_halved_presentation(ToroidParams(3, 1, 3)),
+     "2972eb0077883c0d4b237a0beefdcab6d620b62c45b9171c67c56c2d3d0baf46"),
+])
+def test_pure_kernel_numbering_is_pinned(pres, digest):
+    # guards the numbering where no C compiler can build the other kernel
+    table = todd_coxeter(pres, backend="pure").table
+    assert hashlib.sha256(table.astype("<i8").tobytes()).hexdigest() == digest
+
+
+def test_enumeration_is_logged(caplog):
+    caplog.set_level(logging.DEBUG, logger="hyperforge")
+    todd_coxeter(A3, backend="pure")
+    with pytest.raises(errors.Overflow):
+        todd_coxeter(B3, max_cosets=10, backend="pure")
+    lines = [r.getMessage() for r in caplog.records]
+    assert len(lines) == 2
+    assert re.fullmatch(r"enumeration on the pure kernel: 3 generators, "
+                        r"3 relators, 24 cosets, \d+\.\d{3} s", lines[0])
+    assert lines[1].startswith("enumeration on the pure kernel: 3 generators,"
+                               " 3 relators, >10 cosets, ")
 
 
 def test_compiled_kernel_checks_its_arguments(compiled_kernel):

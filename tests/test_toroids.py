@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import re
 
 import pytest
 
@@ -88,9 +89,13 @@ def test_build_checks_pass():
 def test_certificate_is_logged(caplog):
     with caplog.at_level(logging.DEBUG, logger="hyperforge"):
         toroids.build_cubic_toroid(toroids.ToroidParams(3, 2, 2))
-    msg, = [r.getMessage() for r in caplog.records]
+    lines = [r.getMessage() for r in caplog.records]
+    msg, = [m for m in lines if m.startswith("toroid ")]
     assert msg.startswith("toroid ToroidParams(n=3, k=2, s=2): "
                           "C-group + Tits, order 768, ")
+    enum, = [m for m in lines if m.startswith("enumeration ")]
+    assert re.match(r"enumeration on the (pure|compiled) kernel: "
+                    r"4 generators, \d+ relators, 768 cosets, ", enum)
 
 
 def test_halved_presentation_order():
