@@ -11,6 +11,19 @@ scan keeps the chambers, one row per chamber whose column t is its
 type-t element.  Two chambers are i-adjacent when they agree outside
 type i; sigma_i cycles each class of i-adjacent chambers.
 
+The scan walks the flags level by level on arrays (_flag_levels).
+Level k holds the k-element flags, each as its parent's index in
+level k - 1 (the flag minus its largest element) and that largest
+element, sorted by code = parent * m + last.  Code order is the
+lexicographic order of the sorted id tuples, which is the order of a
+depth-first walk adding elements in increasing id order, so the
+chamber rows come out in that order.  F + c is a flag exactly when c
+lies above F's largest element l, is incident to l, and (F - l) + c is
+a flag; each test of that kind is one searchsorted on the codes.  The
+candidates of F (the elements incident to all of F) number the flags
+of the next level that contain F.  The flag count includes the empty
+flag, as MAX_FLAGS counts it.
+
 Residual connectedness is decided on this chamber system.  For a
 flag F of cotype J, let Ch(F) be the chambers containing F.  When
 |J| >= 2, the residue of F is connected if Ch(F) is connected under
@@ -191,30 +204,6 @@ def shadow(g, x, i):
     return {y for y in g.adj[x] if g.type_of[y] == i}
 
 
-def _scan_flags(g, visit):
-    """Depth-first walk over all flags (including the empty one).
-
-    visit(flag_tuple, candidates) is called once per flag; candidates
-    is the frozenset of elements incident to every flag member.
-    Elements are added in increasing id order so each flag is seen once.
-    Returns the number of flags visited.
-    """
-    count = 0
-    all_elems = frozenset(range(g.nelements))
-    stack = [((), all_elems)]
-    while stack:
-        flag, cand = stack.pop()
-        count += 1
-        if count > MAX_FLAGS:
-            raise SizeLimitExceeded("more than %d flags" % MAX_FLAGS)
-        visit(flag, cand)
-        last = flag[-1] if flag else -1
-        for c in sorted(cand, reverse=True):
-            if c > last:
-                stack.append((flag + (c,), cand & g.adjsets[c]))
-    return count
-
-
 def enumerate_chambers(g):
     """The chambers as sorted tuples of element ids, in increasing order."""
     return sorted(tuple(sorted(row))
@@ -227,6 +216,96 @@ def enumerate_chambers(g):
 _Scan = collections.namedtuple("_Scan", "geometry thin chambers")
 
 
+def _upper_rows(g):
+    """The neighbours above each element, as a CSR tail: (begin, size,
+    indices), the neighbours of e above e being
+    indices[begin[e]:begin[e] + size[e]], in increasing order."""
+    m = g.nelements
+    degree = np.fromiter(map(len, g.adj), dtype=np.int64, count=m)
+    indices = np.fromiter(itertools.chain.from_iterable(g.adj),
+                          dtype=np.int32, count=int(degree.sum()))
+    owner = np.repeat(np.arange(m, dtype=np.int32), degree)
+    size = np.bincount(owner[indices > owner], minlength=m)
+    return np.cumsum(degree) - size, size, indices
+
+
+def _find(code, prefix, c, m):
+    """The index of each flag prefix + c in the level whose sorted
+    codes are code, or -1 where it is not a flag."""
+    want = prefix.astype(np.int64) * m + c
+    at = np.searchsorted(code, want)
+    at[code[np.minimum(at, len(code) - 1)] != want] = -1
+    return at.astype(np.int32)
+
+
+def _children(code, parent, last, upper, m):
+    """The flags F + c of the level after the one whose flags are
+    (parent, last), with sorted codes code: (owner, c, at), where owner
+    is the index of F and at that of (F - last) + c."""
+    begin, size, indices = upper
+    counts = size[last]
+    owner = np.repeat(np.arange(len(last), dtype=np.int32), counts)
+    pos = np.repeat(begin[last] + counts - np.cumsum(counts), counts) \
+        + np.arange(len(owner))
+    c = indices[pos]
+    at = _find(code, parent[owner], c, m)
+    keep = at >= 0
+    return owner[keep], c[keep], at[keep]
+
+
+def _flag_levels(g, check):
+    """Walk the flags level by level (see the module docstring).
+    Returns the number of flags, the empty one included, and the
+    chambers as rows of sorted element ids in increasing lexicographic
+    order.  check(k, counts) gets |cand(F)| for every flag F of each
+    level k < rank.
+
+    sub[F, j] is the index in level k - 1 of F minus its j-th smallest
+    element, so sub[F, k - 1] is F's parent; a flag of level k + 1
+    counts once for each of its sub-flags.
+    """
+    m = g.nelements
+    upper = _upper_rows(g)
+    nflags = _counted(0, 1)  # the empty flag
+    parents, lasts = [], []
+    for k in range(g.rank):
+        # build level k + 1, then check level k
+        if k == 0:
+            nflags = _counted(nflags, m)
+            parent = np.zeros(m, dtype=np.int32)
+            last = np.arange(m, dtype=np.int32)
+            sub = parent[:, None]
+        else:
+            code = parents[-1].astype(np.int64) * m + lasts[-1]
+            parent, last, at = _children(code, parents[-1], lasts[-1],
+                                         upper, m)
+            nflags = _counted(nflags, len(last))
+            prev, sub = sub, np.empty((len(last), k + 1), dtype=np.int32)
+            for j in range(k - 1):
+                sub[:, j] = _find(code, prev[parent, j], last, m)
+            sub[:, k - 1] = at
+            sub[:, k] = parent
+            del code, prev, at
+        check(k, np.bincount(sub.ravel(),
+                             minlength=len(lasts[-1]) if k else 1))
+        parents.append(parent)
+        lasts.append(last)
+    rows = np.empty((len(lasts[-1]) if lasts else 1, g.rank), dtype=np.int64)
+    at = np.arange(len(rows))
+    for k in range(g.rank - 1, -1, -1):
+        rows[:, k] = lasts[k][at]
+        at = parents[k][at]
+    return nflags, rows
+
+
+def _counted(nflags, more):
+    """nflags + more; SizeLimitExceeded when that passes MAX_FLAGS."""
+    nflags += more
+    if nflags > MAX_FLAGS:
+        raise SizeLimitExceeded("more than %d flags" % MAX_FLAGS)
+    return nflags
+
+
 def _scan_geometry(g):
     """The one flag walk behind every chamber query, memoised on g
     (which is immutable)."""
@@ -235,21 +314,17 @@ def _scan_geometry(g):
         return scan
     start = time.perf_counter()
     rank = g.rank
-    chambers = []
     geometry = all(c > 0 for c in g.type_counts())
     thin = True
 
-    def check(flag, cand):
+    def check(k, counts):
         nonlocal geometry, thin
-        if len(flag) == rank:
-            chambers.append(flag)
-        elif not cand:
+        if not counts.all():
             geometry = False
-        elif len(flag) == rank - 1 and len(cand) != 2:
+        if k == rank - 1 and ((counts != 0) & (counts != 2)).any():
             thin = False
 
-    nflags = _scan_flags(g, check)
-    flat = np.array(chambers, dtype=np.int64).reshape(len(chambers), rank)
+    nflags, flat = _flag_levels(g, check)
     rows = np.empty_like(flat)
     types = np.array(g.type_of, dtype=np.int64)
     np.put_along_axis(rows, types[flat], flat, axis=1)
@@ -489,23 +564,27 @@ def preserves_incidence(ga, gb, element_map, type_map):
     return True
 
 
-def relabel_types(g, tmap):
-    """New geometry with type t renamed to tmap[t] (a permutation of types)."""
-    types = [tmap[t] for t in g.type_of]
-    pairs = g.incidence_pairs()
-    return build_geometry(g.rank, types, pairs, labels=g.labels)
+def _json_block(items):
+    """A list of already indented items as json.dumps(indent=1) writes
+    it at depth 1."""
+    return "[\n%s\n ]" % ",\n".join(items) if items else "[]"
 
 
 def to_json(g):
-    data = {
-        "rank": g.rank,
-        "elements": [{"id": e, "type": g.type_of[e]}
-                     for e in range(g.nelements)],
-        "incidences": sorted([min(p), max(p)] for p in g.incidence_pairs()),
-    }
+    """The document json.dumps(data, sort_keys=True, indent=1) + "\\n"
+    would write for data = {"rank", "elements" [{"id", "type"}],
+    "incidences" [[x, y] with x < y, sorted], "provenance" when set},
+    assembled directly."""
+    elements = _json_block(['  {\n   "id": %d,\n   "type": %d\n  }' % et
+                            for et in enumerate(g.type_of)])
+    incidences = _json_block(['  [\n   %d,\n   %d\n  ]' % p
+                              for p in g.incidence_pairs()])
+    out = '{\n "elements": %s,\n "incidences": %s,\n' % (elements,
+                                                         incidences)
     if g.provenance is not None:
-        data["provenance"] = g.provenance
-    return json.dumps(data, sort_keys=True, indent=1) + "\n"
+        out += ' "provenance": %s,\n' % json.dumps(
+            g.provenance, sort_keys=True, indent=1).replace("\n", "\n ")
+    return out + ' "rank": %d\n}\n' % g.rank
 
 
 def _json_int(value, what):

@@ -92,6 +92,14 @@ def make_square_pyramid():
     return geo.build_geometry(3, types, pairs)
 
 
+def relabel_types(g, tmap):
+    """New geometry with type t renamed to tmap[t] (a permutation of
+    types)."""
+    types = [tmap[t] for t in g.type_of]
+    return geo.build_geometry(g.rank, types, g.incidence_pairs(),
+                              labels=g.labels)
+
+
 def make_two_cubes():
     """Two cubes glued at vertex 0 (the second cube's vertex 0 is the
     first one's): a thin connected geometry whose residue at the shared

@@ -23,6 +23,8 @@ from hyperforge.presentations import relator_parity_bipartite, \
     coxeter_presentation
 from hyperforge.toddcox import todd_coxeter, perm_image
 
+from conftest import relabel_types
+
 CELLS = [(n, k, s) for n in (3, 4) for k in (1, 2, n) for s in (2, 3, 4)
          if (k, s) != (1, 2)]
 
@@ -152,7 +154,7 @@ def test_hemicube_halving_gives_tetrahedron(hemicube, tetrahedron):
     gh = engine.coset_geometry(hg)
     # the diagram path of the halved group runs 0-2-1, so the facet
     # role sits at type 1
-    relabelled = geo.relabel_types(gh, {0: 0, 1: 2, 2: 1})
+    relabelled = relabel_types(gh, {0: 0, 1: 2, 2: 1})
     assert relabelled.type_counts() == (4, 6, 4)
     assert iso.isomorphic(relabelled, tetrahedron)
 

@@ -11,6 +11,8 @@ from hyperforge import geometry as geo
 from hyperforge.iso import isomorphic, automorphism_group, \
     is_flag_transitive, validate_action
 
+from conftest import relabel_types
+
 
 def cycle(m):
     return {i: ((i - 1) % m, (i + 1) % m) for i in range(m)}
@@ -151,7 +153,7 @@ def test_bp_construction_cube(cube, tetrahedron):
     assert geo.is_residually_connected(h)
     # halving the cube yields the tetrahedron, with the second vertex
     # fiber playing the facet role
-    assert isomorphic(geo.relabel_types(h, {0: 0, 1: 2, 2: 1}),
+    assert isomorphic(relabel_types(h, {0: 0, 1: 2, 2: 1}),
                       tetrahedron)
 
 

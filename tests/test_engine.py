@@ -10,6 +10,8 @@ from hyperforge.presentations import coxeter_presentation
 from hyperforge.toddcox import todd_coxeter, perm_image
 from hyperforge.toroids import ToroidParams, cubic_toroid_presentation
 
+from conftest import relabel_types
+
 A3 = ((1, 3, 2), (3, 1, 3), (2, 3, 1))
 B3 = ((1, 4, 2), (4, 1, 3), (2, 3, 1))
 
@@ -73,7 +75,7 @@ def test_halving_cube_gives_tetrahedron(cube_group, tetrahedron):
     hg = engine.halving_group(cube_group, (0, 1))
     assert hg.order() == 24
     # the halved generator order puts the facet role at type 1
-    gh = geo.relabel_types(engine.coset_geometry(hg), {0: 0, 1: 2, 2: 1})
+    gh = relabel_types(engine.coset_geometry(hg), {0: 0, 1: 2, 2: 1})
     assert isomorphic(gh, tetrahedron)
 
 

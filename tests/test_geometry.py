@@ -1,4 +1,5 @@
 import itertools
+import json
 import logging
 import random
 
@@ -12,7 +13,7 @@ from hyperforge import errors, toroids
 from hyperforge.iso import isomorphic, is_flag_transitive
 
 from conftest import make_cube, make_polygon, make_tetrahedron, \
-    make_two_cubes
+    make_two_cubes, relabel_types
 
 
 def test_cube_counts(cube):
@@ -123,9 +124,9 @@ def test_non_geometry_detected():
 
 
 def test_relabel_types(cube):
-    swapped = geo.relabel_types(cube, {0: 2, 1: 1, 2: 0})
+    swapped = relabel_types(cube, {0: 2, 1: 1, 2: 0})
     assert swapped.type_counts() == (6, 12, 8)
-    assert geo.relabel_types(swapped, {0: 2, 1: 1, 2: 0}) == cube
+    assert relabel_types(swapped, {0: 2, 1: 1, 2: 0}) == cube
 
 
 def test_json_roundtrip(cube):
@@ -182,6 +183,32 @@ def test_polygon_properties(m):
         assert d.label(0, 1)[0] == m
 
 
+def scan_flags(g, visit):
+    """Depth-first walk over all flags (including the empty one).
+
+    visit(flag_tuple, candidates) is called once per flag; candidates
+    is the frozenset of elements incident to every flag member.
+    Elements are added in increasing id order so each flag is seen once.
+    Returns the number of flags visited, with the same MAX_FLAGS trip
+    as the scan.
+    """
+    count = 0
+    all_elems = frozenset(range(g.nelements))
+    stack = [((), all_elems)]
+    while stack:
+        flag, cand = stack.pop()
+        count += 1
+        if count > geo.MAX_FLAGS:
+            raise errors.SizeLimitExceeded("more than %d flags"
+                                           % geo.MAX_FLAGS)
+        visit(flag, cand)
+        last = flag[-1] if flag else -1
+        for c in sorted(cand, reverse=True):
+            if c > last:
+                stack.append((flag + (c,), cand & g.adjsets[c]))
+    return count
+
+
 def by_definition(g):
     """(geometry, thin, residually connected) read off every flag: a
     geometry has no empty type and no maximal flag short of a chamber;
@@ -216,7 +243,7 @@ def by_definition(g):
         if corank >= 2 and not connected(cand):
             rc = False
 
-    geo._scan_flags(g, visit)
+    scan_flags(g, visit)
     return (geometry, thin, rc) if geometry else (False, None, None)
 
 
@@ -235,12 +262,12 @@ def verdicts(g):
     return tuple(outcome(query, g) for query in QUERIES)
 
 
-def random_incidence_system(rng):
-    """Rank 1-4, 1-4 elements per type in a shuffled id order, each
-    pair of elements of distinct types incident with one probability
-    in 0.3-0.9."""
-    rank = rng.randint(1, 4)
-    types = [t for t in range(rank) for _ in range(rng.randint(1, 4))]
+def random_incidence_system(rng, least=1):
+    """Rank least-4, least-4 elements per type in a shuffled id order,
+    each pair of elements of distinct types incident with one
+    probability in 0.3-0.9."""
+    rank = rng.randint(least, 4)
+    types = [t for t in range(rank) for _ in range(rng.randint(least, 4))]
     rng.shuffle(types)
     p = rng.uniform(0.3, 0.9)
     pairs = [(x, y) for x, y in itertools.combinations(range(len(types)), 2)
@@ -259,6 +286,123 @@ def test_verdicts_match_the_definitions_on_random_systems():
     # geometries that are and are not residually connected, and
     # non-geometries, on which both sides raise
     assert seen == {(True, True), (True, False), (False, None)}
+
+
+def scan_by_flags(g):
+    """(geometry, thin, chambers, flags) of the depth-first walk, with
+    the chambers in the order it meets them, one column per type."""
+    chambers = []
+    geometry = all(c > 0 for c in g.type_counts())
+    thin = True
+
+    def visit(flag, cand):
+        nonlocal geometry, thin
+        if len(flag) == g.rank:
+            chambers.append(flag)
+        elif not cand:
+            geometry = False
+        elif len(flag) == g.rank - 1 and len(cand) != 2:
+            thin = False
+
+    nflags = scan_flags(g, visit)
+    rows = np.zeros((len(chambers), g.rank), dtype=np.int64)
+    for row, flag in zip(rows, chambers):
+        row[[g.type_of[x] for x in flag]] = flag
+    return geometry, thin, rows, nflags
+
+
+def assert_scans_agree(g):
+    """The level walk against the depth-first one: the verdicts, the
+    chambers row by row, the flag count and the MAX_FLAGS trip."""
+    geometry, thin, chambers, nflags = scan_by_flags(g)
+    scan = geo._scan_geometry(g)
+    assert (scan.geometry, scan.thin) == (geometry, thin)
+    assert scan.chambers.shape == chambers.shape
+    assert np.array_equal(scan.chambers, chambers)
+    assert geo._flag_levels(g, lambda k, counts: None)[0] == nflags
+    return nflags
+
+
+def test_level_walk_matches_the_depth_first_walk(monkeypatch):
+    rng = random.Random(20261019)
+    ranks = set()
+    for _ in range(3000):
+        g = random_incidence_system(rng, least=0)
+        ranks.add(g.rank)
+        nflags = assert_scans_agree(g)
+        for limit in (nflags - 1, nflags):
+            monkeypatch.setattr(geo, "MAX_FLAGS", limit)
+            fresh = geo.build_geometry(g.rank, g.type_of,
+                                       g.incidence_pairs())
+            trips = []
+            for walk in (lambda: scan_flags(fresh, lambda f, c: None),
+                         lambda: geo._scan_geometry(fresh)):
+                try:
+                    walk()
+                    trips.append(None)
+                except errors.SizeLimitExceeded as exc:
+                    trips.append(str(exc))
+            assert trips[0] == trips[1]
+            assert (trips[0] is None) is (limit == nflags)
+        monkeypatch.undo()
+    assert ranks == {0, 1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("cell", [(3, 1, 3), (4, 2, 2)],
+                         ids=lambda c: "%d%d%d" % c)
+def test_level_walk_matches_the_depth_first_walk_on_toroids(cell):
+    n = cell[0]
+    _, g = toroids.build_cubic_toroid(toroids.ToroidParams(*cell))
+    h = cons.halving_geometry(g, (0, 1))
+    hh = cons.halving_geometry(h, (n, n - 1))
+    for stage in (g, h, hh):
+        assert_scans_agree(geo.build_geometry(
+            stage.rank, stage.type_of, stage.incidence_pairs()))
+
+
+def test_flag_limit_at_the_cube_s_flag_count(monkeypatch):
+    monkeypatch.setattr(geo, "MAX_FLAGS", 147)
+    assert geo.is_thin(make_cube())
+    monkeypatch.setattr(geo, "MAX_FLAGS", 146)
+    g = make_cube()
+    with pytest.raises(errors.SizeLimitExceeded,
+                       match="more than 146 flags"):
+        geo.is_geometry(g)
+    assert getattr(g, "_scan", None) is None
+
+
+def json_by_dumps(g):
+    """to_json(g) through the json module's indenting encoder."""
+    data = {
+        "rank": g.rank,
+        "elements": [{"id": e, "type": g.type_of[e]}
+                     for e in range(g.nelements)],
+        "incidences": sorted([min(p), max(p)] for p in g.incidence_pairs()),
+    }
+    if g.provenance is not None:
+        data["provenance"] = g.provenance
+    return json.dumps(data, sort_keys=True, indent=1) + "\n"
+
+
+PROVENANCES = [None, {}, [], "two\nlines", 7, {
+    "kind": "P", "leaf": [0, 1],
+    "steps": [{"note": "na\u00efve \u201chalving\u201d\n", "empty": {}},
+              [[], None, 1.5, True]],
+    "\u00e9t\u00e9": {"z": "a\nb", "a": []},
+}]
+
+
+def test_to_json_matches_the_json_encoder(toroid_313):
+    rng = random.Random(20261020)
+    for k in range(600):
+        g = random_incidence_system(rng, least=0)
+        g = geo.build_geometry(g.rank, g.type_of, g.incidence_pairs(),
+                               provenance=PROVENANCES[k % len(PROVENANCES)])
+        assert geo.to_json(g) == json_by_dumps(g)
+    _, toroid = toroid_313
+    for g in (toroid, cons.halving_geometry(toroid, (0, 1))):
+        assert g.provenance is not None
+        assert geo.to_json(g) == json_by_dumps(g)
 
 
 def diagram_by_flags(g):
@@ -281,7 +425,7 @@ def diagram_by_flags(g):
             lab = geo.rank2_label(g, pts, lns)
             seen[(i, j)][lab] = seen[(i, j)].get(lab, 0) + 1
 
-    geo._scan_flags(g, visit)
+    scan_flags(g, visit)
     return {pair: tuple(sorted(labs.items())) for pair, labs in seen.items()}
 
 
