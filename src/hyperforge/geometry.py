@@ -22,7 +22,9 @@ lies above F's largest element l, is incident to l, and (F - l) + c is
 a flag; each test of that kind is one searchsorted on the codes.  The
 candidates of F (the elements incident to all of F) number the flags
 of the next level that contain F.  The flag count includes the empty
-flag, as MAX_FLAGS counts it.
+flag, as MAX_FLAGS counts it; a level is built in runs of about
+_BLOCK candidates with the count checked after each, so a scan past
+MAX_FLAGS raises holding at most the flags counted and one run.
 
 Residual connectedness is decided on this chamber system.  For a
 flag F of cotype J, let Ch(F) be the chambers containing F.  When
@@ -238,38 +240,61 @@ def _find(code, prefix, c, m):
     return at.astype(np.int32)
 
 
-def _children(code, parent, last, upper, m):
+# the candidate children one step of a level builds, which bounds the
+# scan's temporaries before a level past MAX_FLAGS raises
+_BLOCK = 1 << 16
+
+
+def _children(code, parent, last, upper, m, nflags):
     """The flags F + c of the level after the one whose flags are
-    (parent, last), with sorted codes code: (owner, c, at), where owner
-    is the index of F and at that of (F - last) + c."""
+    (parent, last), with sorted codes code: (owner, c, at, nflags),
+    where owner is the index of F, at that of (F - last) + c, and
+    nflags the running count with them added.  The candidates c are
+    tried for runs of consecutive F holding about _BLOCK of them, and
+    the count is checked after each run."""
     begin, size, indices = upper
     counts = size[last]
-    owner = np.repeat(np.arange(len(last), dtype=np.int32), counts)
-    pos = np.repeat(begin[last] + counts - np.cumsum(counts), counts) \
-        + np.arange(len(owner))
-    c = indices[pos]
-    at = _find(code, parent[owner], c, m)
-    keep = at >= 0
-    return owner[keep], c[keep], at[keep]
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    bounds = [0, *np.searchsorted(ends, np.arange(_BLOCK, total, _BLOCK),
+                                  side="right").tolist(), len(last)]
+    runs = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        n = counts[lo:hi]
+        owner = np.repeat(np.arange(lo, hi, dtype=np.int32), n)
+        start = ends[lo - 1] if lo else 0
+        pos = np.repeat(begin[last[lo:hi]] + n - ends[lo:hi] + start, n) \
+            + np.arange(len(owner))
+        c = indices[pos]
+        at = _find(code, parent[owner], c, m)
+        keep = at >= 0
+        nflags = _counted(nflags, np.count_nonzero(keep))
+        runs.append((owner[keep], c[keep], at[keep]))
+    owner, c, at = (np.concatenate(part) for part in zip(*runs))
+    return owner, c, at, nflags
 
 
-def _flag_levels(g, check):
+def _flag_levels(g):
     """Walk the flags level by level (see the module docstring).
-    Returns the number of flags, the empty one included, and the
-    chambers as rows of sorted element ids in increasing lexicographic
-    order.  check(k, counts) gets |cand(F)| for every flag F of each
-    level k < rank.
+    Returns (nflags, geometry, thin, rows): the number of flags, the
+    empty one included; whether no flag below rank has an empty
+    candidate set (then every maximal flag is a chamber and no type is
+    empty); whether no corank-1 flag has a number of candidates other
+    than 0 or 2; and the chambers as rows of sorted element ids in
+    increasing lexicographic order.
 
     sub[F, j] is the index in level k - 1 of F minus its j-th smallest
     element, so sub[F, k - 1] is F's parent; a flag of level k + 1
-    counts once for each of its sub-flags.
+    counts once for each of its sub-flags, so the bincount of sub over
+    level k + 1 gives |cand(F)| for every flag F of level k.
     """
     m = g.nelements
     upper = _upper_rows(g)
     nflags = _counted(0, 1)  # the empty flag
+    geometry = thin = True
     parents, lasts = [], []
     for k in range(g.rank):
-        # build level k + 1, then check level k
+        # build level k + 1, then count the candidates of level k
         if k == 0:
             nflags = _counted(nflags, m)
             parent = np.zeros(m, dtype=np.int32)
@@ -277,17 +302,19 @@ def _flag_levels(g, check):
             sub = parent[:, None]
         else:
             code = parents[-1].astype(np.int64) * m + lasts[-1]
-            parent, last, at = _children(code, parents[-1], lasts[-1],
-                                         upper, m)
-            nflags = _counted(nflags, len(last))
+            parent, last, at, nflags = _children(code, parents[-1],
+                                                 lasts[-1], upper, m, nflags)
             prev, sub = sub, np.empty((len(last), k + 1), dtype=np.int32)
             for j in range(k - 1):
                 sub[:, j] = _find(code, prev[parent, j], last, m)
             sub[:, k - 1] = at
             sub[:, k] = parent
             del code, prev, at
-        check(k, np.bincount(sub.ravel(),
-                             minlength=len(lasts[-1]) if k else 1))
+        counts = np.bincount(sub.ravel(),
+                             minlength=len(lasts[-1]) if k else 1)
+        geometry = geometry and bool(counts.all())
+        if k == g.rank - 1:
+            thin = not ((counts != 0) & (counts != 2)).any()
         parents.append(parent)
         lasts.append(last)
     rows = np.empty((len(lasts[-1]) if lasts else 1, g.rank), dtype=np.int64)
@@ -295,7 +322,7 @@ def _flag_levels(g, check):
     for k in range(g.rank - 1, -1, -1):
         rows[:, k] = lasts[k][at]
         at = parents[k][at]
-    return nflags, rows
+    return nflags, geometry, thin, rows
 
 
 def _counted(nflags, more):
@@ -313,18 +340,7 @@ def _scan_geometry(g):
     if scan is not None:
         return scan
     start = time.perf_counter()
-    rank = g.rank
-    geometry = all(c > 0 for c in g.type_counts())
-    thin = True
-
-    def check(k, counts):
-        nonlocal geometry, thin
-        if not counts.all():
-            geometry = False
-        if k == rank - 1 and ((counts != 0) & (counts != 2)).any():
-            thin = False
-
-    nflags, flat = _flag_levels(g, check)
+    nflags, geometry, thin, flat = _flag_levels(g)
     rows = np.empty_like(flat)
     types = np.array(g.type_of, dtype=np.int64)
     np.put_along_axis(rows, types[flat], flat, axis=1)

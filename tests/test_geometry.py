@@ -2,6 +2,7 @@ import itertools
 import json
 import logging
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,16 +320,19 @@ def assert_scans_agree(g):
     assert (scan.geometry, scan.thin) == (geometry, thin)
     assert scan.chambers.shape == chambers.shape
     assert np.array_equal(scan.chambers, chambers)
-    assert geo._flag_levels(g, lambda k, counts: None)[0] == nflags
+    assert geo._flag_levels(g)[:3] == (nflags, geometry, thin)
     return nflags
 
 
 def test_level_walk_matches_the_depth_first_walk(monkeypatch):
     rng = random.Random(20261019)
     ranks = set()
-    for _ in range(3000):
+    # runs of a few candidates split each level into many
+    blocks = (1, 3, 10, geo._BLOCK)
+    for k in range(3000):
         g = random_incidence_system(rng, least=0)
         ranks.add(g.rank)
+        monkeypatch.setattr(geo, "_BLOCK", blocks[k % len(blocks)])
         nflags = assert_scans_agree(g)
         for limit in (nflags - 1, nflags):
             monkeypatch.setattr(geo, "MAX_FLAGS", limit)
@@ -350,7 +354,8 @@ def test_level_walk_matches_the_depth_first_walk(monkeypatch):
 
 @pytest.mark.parametrize("cell", [(3, 1, 3), (4, 2, 2)],
                          ids=lambda c: "%d%d%d" % c)
-def test_level_walk_matches_the_depth_first_walk_on_toroids(cell):
+def test_level_walk_matches_the_depth_first_walk_on_toroids(cell,
+                                                           monkeypatch):
     n = cell[0]
     _, g = toroids.build_cubic_toroid(toroids.ToroidParams(*cell))
     h = cons.halving_geometry(g, (0, 1))
@@ -358,6 +363,12 @@ def test_level_walk_matches_the_depth_first_walk_on_toroids(cell):
     for stage in (g, h, hh):
         assert_scans_agree(geo.build_geometry(
             stage.rank, stage.type_of, stage.incidence_pairs()))
+        want = geo._flag_levels(stage)
+        monkeypatch.setattr(geo, "_BLOCK", 100)
+        got = geo._flag_levels(stage)
+        monkeypatch.undo()
+        assert got[:3] == want[:3]
+        assert np.array_equal(got[3], want[3])
 
 
 def test_flag_limit_at_the_cube_s_flag_count(monkeypatch):
@@ -369,6 +380,33 @@ def test_flag_limit_at_the_cube_s_flag_count(monkeypatch):
                        match="more than 146 flags"):
         geo.is_geometry(g)
     assert getattr(g, "_scan", None) is None
+
+
+def complete_tripartite(n):
+    """The rank-3 system of n elements per type, each incident to every
+    element of the other types: 1 + 3n + 3n^2 flags below rank and n^3
+    chambers."""
+    types = [t for t in range(3) for _ in range(n)]
+    return geo.build_geometry(3, types, [
+        (x, y) for x, y in itertools.combinations(range(3 * n), 2)
+        if types[x] != types[y]])
+
+
+def test_flag_limit_bounds_the_scan_s_memory(monkeypatch):
+    # levels 0-2 hold 30,301 flags; level 3 tries 10^6 candidates,
+    # whose temporaries, built at once, trace over 50 MB
+    g = complete_tripartite(100)
+    monkeypatch.setattr(geo, "MAX_FLAGS", 40000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.SizeLimitExceeded,
+                           match="more than 40000 flags"):
+            geo.is_geometry(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert getattr(g, "_scan", None) is None
+    assert peak < 8 * 10 ** 6
 
 
 def json_by_dumps(g):
