@@ -9,19 +9,19 @@ heavy checks below work.
 
 Every walk over the points of a regular group, here and in engine,
 runs on three array primitives: bfs_tree, orbit_labels and
-label_pairs.  orbit, a Python walk, is the tests' reference; mulclose
-serves groups that are not regular.
+label_pairs.  orbit, a Python walk, is the tests' reference.
+orbit_labels numbers the orbits in order of first occurrence: orbit k
+is the k-th one met in a scan of the points from 0.  Subgroup orders,
+masks and the intersection property need a regular group, and so
+does order() when no order was given; on any other group they raise
+IncompleteTable.
 """
 
 from math import lcm
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
-from .errors import SizeLimitExceeded, IncompleteTable
-
-MULCLOSE_LIMIT = 10 ** 5
+from .errors import IncompleteTable
 
 
 class PermGroup:
@@ -39,10 +39,8 @@ class PermGroup:
 
     def order(self):
         if self._order is None:
-            if self.regular:
-                self._order = self.degree
-            else:
-                self._order = len(mulclose(self.gens, MULCLOSE_LIMIT))
+            require_regular(self)
+            self._order = self.degree
         return self._order
 
     def __repr__(self):
@@ -102,22 +100,36 @@ def bfs_tree(gens, degree):
 
 
 def orbit_labels(perms, degree):
-    """Connected-component labels of points under the given perms.
+    """Orbit labels of the points under the given perms, and the number
+    of orbits.
 
-    Labels are renumbered in order of first occurrence, so the
-    labelling is deterministic.
+    Root hooking and pointer jumping (Shiloach-Vishkin, "An O(log n)
+    parallel connectivity algorithm", J. Algorithms 1982): every point
+    has a parent no larger than itself.  Each round hooks every root
+    to the least smaller root that an edge joins it to, then jumps parents
+    until each point's parent is a root; edges inside one tree are
+    dropped.  When no edge is left, each orbit is a star on its least
+    point, so ranking the roots numbers the orbits in order of first
+    occurrence, which makes the labelling deterministic.
     """
-    if not perms:
-        return np.arange(degree, dtype=np.int64), degree
-    rows = np.concatenate([np.arange(degree)] * len(perms))
-    cols = np.concatenate([np.asarray(p) for p in perms])
-    graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
-                       shape=(degree, degree))
-    _, labels = connected_components(graph, directed=False)
-    _, first = np.unique(labels, return_index=True)
-    remap = np.empty(len(first), dtype=np.int64)
-    remap[labels[np.sort(first)]] = np.arange(len(first))
-    return remap[labels], len(first)
+    parent = np.arange(degree, dtype=np.int64)
+    a = np.tile(parent, len(perms))
+    b = np.concatenate(perms) if perms else a
+    while True:
+        a, b = parent[a], parent[b]
+        moving = a != b
+        if not moving.any():
+            break
+        a, b = a[moving], b[moving]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    roots = parent == np.arange(degree)
+    rank = np.cumsum(roots, dtype=np.int64) - 1
+    return rank[parent], int(np.count_nonzero(roots))
 
 
 def label_pairs(a, b):
@@ -126,31 +138,6 @@ def label_pairs(a, b):
     m = int(b.max()) + 1
     codes = np.unique(a * m + b)
     return codes // m, codes % m
-
-
-def mulclose(gens, limit):
-    """All products of the generators, as a set of tuples."""
-    if not gens:
-        return {()}
-    n = len(gens[0])
-    identity = tuple(range(n))
-    seen = {identity}
-    frontier = [identity]
-    gens = [np.asarray(g, dtype=np.int64) for g in gens]
-    while frontier:
-        new = []
-        for x in frontier:
-            ax = np.asarray(x, dtype=np.int64)
-            for g in gens:
-                y = tuple(int(v) for v in g[ax])
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-                    if len(seen) > limit:
-                        raise SizeLimitExceeded(
-                            "group closure exceeds %d" % limit)
-        frontier = new
-    return seen
 
 
 def require_regular(pg):
@@ -182,13 +169,8 @@ def subgroup_points(pg, subset):
 
 
 def subgroup_order(pg, subset):
-    """Order of the subgroup generated by the listed generators."""
-    subset = sorted(set(subset))
-    if pg.regular:
-        return len(subgroup_points(pg, subset))
-    if not subset:
-        return 1
-    return len(mulclose([pg.gens[i] for i in subset], MULCLOSE_LIMIT))
+    """Order of <gens[i] : i in subset> in a regular PermGroup."""
+    return len(subgroup_points(pg, subset))
 
 
 def coxeter_matrix(pg):
@@ -213,26 +195,11 @@ def involutions(pg):
 def intersection_property(pg):
     """<I> cap <J> = <I cap J> for all generator subsets I, J."""
     n = pg.ngens
-    if pg.regular:
-        sets = subgroup_masks(pg)
-
-        def meets_in(a, b, c):
-            return np.array_equal(a & b, c)
-    else:
-        if pg.order() > MULCLOSE_LIMIT:
-            raise SizeLimitExceeded("order %d too large" % pg.order())
-        # mulclose gives () for no generators; <> is the identity
-        sets = [frozenset(mulclose([pg.gens[i] for i in range(n)
-                                    if mask >> i & 1], MULCLOSE_LIMIT))
-                if mask else frozenset([tuple(range(pg.degree))])
-                for mask in range(1 << n)]
-
-        def meets_in(a, b, c):
-            return a & b == c
+    masks = subgroup_masks(pg)
     for a in range(1 << n):
         for b in range(a + 1, 1 << n):
             # nested subsets meet in the smaller one
             if a & b not in (a, b) and \
-                    not meets_in(sets[a], sets[b], sets[a & b]):
+                    not np.array_equal(masks[a] & masks[b], masks[a & b]):
                 return False
     return True

@@ -51,7 +51,6 @@ class CosetTable:
         self.ngens = ngens
         self.table = np.asarray(table, dtype=np.int64)
         self.subgens = tuple(tuple(w) for w in subgens)
-        self.complete = True
 
     @property
     def ncosets(self):
@@ -126,8 +125,6 @@ def todd_coxeter(p, subgens=(), max_cosets=None, backend=None):
 
 def perm_image(t):
     """Right action of the generators on cosets, as a PermGroup."""
-    if not t.complete:
-        raise IncompleteTable("table is not complete")
     gens = [t.table[:, x].copy() for x in range(t.ngens)]
     regular = not t.subgens
     return PermGroup(t.ncosets, gens, regular=regular,

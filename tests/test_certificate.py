@@ -25,6 +25,7 @@ from hyperforge.presentations import coxeter_presentation
 from hyperforge.toddcox import todd_coxeter, perm_image
 
 from test_constructions import b2_by_definition
+from test_perms_presentations import closure_intersection_property
 
 # the envelope cells with at most 50,000 chambers
 CELLS = [(3, 1, 3), (3, 1, 4), (3, 2, 2), (3, 2, 3), (3, 2, 4), (3, 3, 2),
@@ -96,17 +97,13 @@ def test_check_B2_matches_its_definition_on_stages(stage_groups, cell):
     assert verdicts == {True, False}
 
 
-def _nonregular(pg):
-    return PermGroup(pg.degree, pg.gens)
-
-
 def test_degenerate_leaf_fails_the_intersection_property():
     pg = _group(toroids.cubic_toroid_presentation(
         toroids.ToroidParams(3, 1, 2)))
     hg = engine.halving_group(pg, (0, 1))
     g = engine.coset_geometry(hg)
     assert intersection_property(hg) is False
-    assert intersection_property(_nonregular(hg)) is False
+    assert closure_intersection_property(hg) is False
     assert not _scanned(g)
     with pytest.raises(errors.PropertyViolation,
                        match="intersection property fails"):
@@ -121,7 +118,7 @@ def test_c_group_that_is_not_flag_transitive():
     assert pg.order() == 18
     g = engine.coset_geometry(pg)
     assert intersection_property(pg) is True
-    assert intersection_property(_nonregular(pg)) is True
+    assert closure_intersection_property(pg) is True
     assert engine.tits_condition(pg) is False
     assert iso.is_flag_transitive(g, engine.natural_action(g)) is False
     with pytest.raises(errors.PropertyViolation,

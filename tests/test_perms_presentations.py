@@ -1,14 +1,19 @@
+import os
+import subprocess
+import sys
 from math import lcm
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import hyperforge
 from hyperforge import errors
 from hyperforge import presentations as pres
 from hyperforge.perms import (
-    perm_mul, perm_order, orbit, mulclose, subgroup_order, subgroup_points,
+    perm_mul, perm_order, orbit, subgroup_order, subgroup_points,
     coxeter_matrix, intersection_property, PermGroup, bfs_tree, label_pairs,
+    orbit_labels,
 )
 from hyperforge.toddcox import todd_coxeter, perm_image
 
@@ -95,11 +100,115 @@ def test_bfs_tree_against_orbit(perms, n):
     check_bfs_tree([np.array(p, dtype=np.int64) for p in perms], degree)
 
 
+def first_occurrence_labels(gens, degree):
+    """Orbit labels from orbit, numbered in order of first occurrence."""
+    labels = np.full(degree, -1, dtype=np.int64)
+    count = 0
+    for x in range(degree):
+        if labels[x] < 0:
+            labels[orbit(x, gens)] = count
+            count += 1
+    return labels, count
+
+
+def check_orbit_labels(gens, degree):
+    labels, count = orbit_labels(gens, degree)
+    want, want_count = first_occurrence_labels(gens, degree)
+    assert labels.dtype == np.int64
+    assert count == want_count
+    assert np.array_equal(labels, want)
+
+
+def test_orbit_labels_edge_cases():
+    check_orbit_labels([], 0)
+    check_orbit_labels([np.zeros(0, dtype=np.int64)], 0)
+    check_orbit_labels([], 5)
+    check_orbit_labels([np.array([1, 2, 3, 0, 5, 4])], 6)
+
+
+def test_orbit_labels_on_long_orbits():
+    # long orbits in shuffled order, which take hooking many rounds: one
+    # cycle, and a path given by two involutions (a dihedral action)
+    n = 10 ** 5
+    rng = np.random.default_rng(7)
+    walk = rng.permutation(n)
+    cycle = np.empty(n, dtype=np.int64)
+    cycle[walk] = np.roll(walk, -1)
+    labels, count = orbit_labels([cycle], n)
+    assert count == 1 and not labels.any()
+    flips = []
+    for start in (0, 1):
+        s = np.arange(n)
+        a, b = walk[start:n - 1:2], walk[start + 1:n:2]
+        s[a], s[b] = b, a
+        flips.append(s)
+    labels, count = orbit_labels(flips, n)
+    assert count == 1 and not labels.any()
+    # without the second flip the path falls apart into its pairs
+    labels, count = orbit_labels(flips[:1], n)
+    assert count == n // 2
+    assert np.array_equal(labels, first_occurrence_labels(flips[:1], n)[0])
+
+
+@given(st.integers(1, 60).flatmap(lambda n: st.lists(
+    st.permutations(range(n)), max_size=3)), st.integers(1, 60))
+@settings(max_examples=200, deadline=None)
+def test_orbit_labels_against_orbit(perms, n):
+    degree = len(perms[0]) if perms else n
+    check_orbit_labels([np.array(p, dtype=np.int64) for p in perms], degree)
+
+
+def mulclose(gens, limit):
+    """All products of the generators, as a set of tuples: the group
+    closure, the reference for groups that are not given regularly."""
+    n = len(gens[0])
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            ax = np.asarray(x, dtype=np.int64)
+            for g in gens:
+                y = tuple(int(v) for v in np.asarray(g)[ax])
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+                    if len(seen) > limit:
+                        raise errors.SizeLimitExceeded(
+                            "group closure exceeds %d" % limit)
+        frontier = new
+    return seen
+
+
+def closure_intersection_property(pg, limit=10 ** 5):
+    """intersection_property read off the element sets that mulclose
+    builds, with the group taken as not regular."""
+    n = pg.ngens
+    sets = [frozenset(mulclose([pg.gens[i] for i in range(n) if s >> i & 1]
+                               or [np.arange(pg.degree)], limit))
+            for s in range(1 << n)]
+    return all(sets[a] & sets[b] == sets[a & b]
+               for a in range(1 << n) for b in range(a + 1, 1 << n))
+
+
 def test_mulclose_s3():
     gens = [np.array([1, 0, 2]), np.array([0, 2, 1])]
     assert len(mulclose(gens, 100)) == 6
     with pytest.raises(errors.SizeLimitExceeded):
         mulclose(gens, 3)
+
+
+def test_import_pulls_in_no_scipy():
+    # a fresh interpreter that finds the package where this one did
+    src = os.path.dirname(os.path.dirname(hyperforge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, hyperforge; print(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 A3_MATRIX = ((1, 3, 2), (3, 1, 3), (2, 3, 1))
@@ -130,16 +239,24 @@ def test_intersection_property_holds_for_coxeter_group():
 def test_intersection_property_fails():
     # rotations of a square: <r, r> with redundant generators such
     # that <g0> and <g1> share the half-turn but <> is trivial
+    # <r> acts regularly on its four points, with 0 as the identity
     r = np.array([1, 2, 3, 0])
     half = perm_mul(r, r)
-    pg = PermGroup(4, [r, half])
+    pg = PermGroup(4, [r, half], regular=True)
     assert not intersection_property(pg)
+    assert not closure_intersection_property(pg)
 
 
 def test_nonregular_group_order():
+    # without a given order, a group that is not regular has none to report
     pg = PermGroup(3, [np.array([1, 0, 2]), np.array([0, 2, 1])])
-    assert pg.order() == 6
-    assert subgroup_order(pg, [0]) == 2
+    with pytest.raises(errors.IncompleteTable):
+        pg.order()
+    with pytest.raises(errors.IncompleteTable):
+        subgroup_order(pg, [0])
+    with pytest.raises(errors.IncompleteTable):
+        intersection_property(pg)
+    assert PermGroup(3, pg.gens, order=6).order() == 6
 
 
 def test_subgroup_points_needs_a_regular_group():

@@ -23,7 +23,6 @@ B3 = coxeter_presentation(((1, 4, 2), (4, 1, 3), (2, 3, 1)))
 def test_symmetric_group_order():
     t = todd_coxeter(A3)
     assert t.ncosets == 24
-    assert t.complete
 
 
 def test_cube_group_order():
