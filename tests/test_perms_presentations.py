@@ -181,12 +181,12 @@ def mulclose(gens, limit):
     return seen
 
 
-def closure_intersection_property(pg, limit=10 ** 5):
+def closure_intersection_property(pg):
     """intersection_property read off the element sets that mulclose
     builds, with the group taken as not regular."""
     n = pg.ngens
     sets = [frozenset(mulclose([pg.gens[i] for i in range(n) if s >> i & 1]
-                               or [np.arange(pg.degree)], limit))
+                               or [np.arange(pg.degree)], 10 ** 5))
             for s in range(1 << n)]
     return all(sets[a] & sets[b] == sets[a & b]
                for a in range(1 << n) for b in range(a + 1, 1 << n))
