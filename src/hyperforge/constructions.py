@@ -117,7 +117,7 @@ def truncation_graph(g, leaf, flag=()):
     cand = geo.flag_candidates(g, flag)
     adj = {}
     edges = []
-    for e in sorted(cand):
+    for e in cand:
         if g.type_of[e] == i:
             adj[e] = set()
         elif g.type_of[e] == j:

@@ -67,16 +67,13 @@ def coset_geometry(pg):
         labels_by_type.append(labs)
         counts.append(m)
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    types = []
-    for i in range(rank):
-        types.extend([i] * counts[i])
-    pairs = []
+    pairs = [np.empty((0, 2), dtype=np.int64)]
     for i in range(rank):
         for j in range(i + 1, rank):
             a, b = label_pairs(labels_by_type[i], labels_by_type[j])
-            pairs.extend(zip((a + offsets[i]).tolist(),
-                             (b + offsets[j]).tolist()))
-    g = geo.build_geometry(rank, types, pairs,
+            pairs.append(np.stack([a + offsets[i], b + offsets[j]], axis=1))
+    g = geo.build_geometry(rank, np.repeat(np.arange(rank), counts),
+                           np.concatenate(pairs),
                            provenance={"kind": "coset_geometry"})
     g.coset_data = CosetGeometryData(pg, labels_by_type, offsets)
     return g
@@ -124,28 +121,25 @@ def coset_diagram(g):
     """Buekenhout diagram of a flag-transitive coset geometry from one
     rank-2 residue per type pair.
 
-    The residue of cotype {i,j} is taken at the base chamber (the
-    cosets G_t holding the identity) with its i- and j-elements
-    removed.  Flag-transitivity makes every residue of that cotype
-    isomorphic to it.  Its multiplicity counts the flags of cotype
-    {i,j}, |G : <rho_i, rho_j>| by the intersection property, where
-    geometry.buekenhout_diagram counts distinct residues, which can be
-    fewer; the labels and the shape are the same.
+    The residue of cotype {i,j} is taken at the base flag, the cosets
+    G_t (t not in {i,j}) holding the identity.  Flag-transitivity makes
+    every residue of that cotype isomorphic to it and puts its chambers
+    at the points of <rho_i, rho_j> (the intersection of those G_t),
+    whose labels of types i and j are its incident (point, line) pairs.
+    Its multiplicity counts the flags of cotype {i,j}, |G : <rho_i,
+    rho_j>|, where geometry.buekenhout_diagram counts distinct
+    residues, which can be fewer; the labels and the shape are the same.
     """
     data = g.coset_data
     pg = data.pg
-    base = [int(data.labels_by_type[t][0] + data.offsets[t])
-            for t in range(g.rank)]
     entries = {}
     for i in range(g.rank):
         for j in range(i + 1, g.rank):
-            flag = [base[t] for t in range(g.rank) if t not in (i, j)]
-            cand = geo.flag_candidates(g, flag)
-            pts = [x for x in cand if g.type_of[x] == i]
-            lns = [x for x in cand if g.type_of[x] == j]
-            lab = geo.rank2_label(g, pts, lns)
-            count = pg.degree // len(subgroup_points(pg, (i, j)))
-            entries[(i, j)] = ((lab, count),)
+            pts = subgroup_points(pg, (i, j))
+            a, b = label_pairs(data.labels_by_type[i][pts],
+                               data.labels_by_type[j][pts])
+            lab = geo.rank2_label(zip(a.tolist(), b.tolist()))
+            entries[(i, j)] = ((lab, pg.degree // len(pts)),)
     return geo.BuekenhoutDiagram(g.rank, entries)
 
 

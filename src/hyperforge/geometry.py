@@ -2,7 +2,8 @@
 
 Elements are dense integers 0..m-1, each with a type in 0..rank-1.
 Incidence is a symmetric irreflexive relation joining elements of
-distinct types only.  A flag is a set of pairwise incident elements,
+distinct types only, held as one CSR with a tuple view adj (see
+IncidenceGeometry).  A flag is a set of pairwise incident elements,
 a chamber a flag meeting every type.
 
 Every chamber query, iso.is_flag_transitive included, reads one flag
@@ -43,6 +44,7 @@ Geometry", 2013, on chamber systems).
 """
 
 import collections
+import functools
 import itertools
 import json
 import logging
@@ -66,19 +68,28 @@ MAX_FLAGS = 10 ** 6
 class IncidenceGeometry:
     """Immutable incidence system.
 
-    type_of[e] is the type of element e; adj[e] a sorted tuple of the
-    elements incident to e.  labels, when present, carries one
-    caller-meaningful name per element (construction provenance).
+    type_of[e] is the type of element e; the elements incident to e are
+    indices[indptr[e]:indptr[e + 1]], strictly increasing, and adj[e]
+    is that row as a tuple, built on first use.  labels, when present,
+    carries one caller-meaningful name per element (construction
+    provenance).  build_geometry validates raw data; this does not.
     """
 
-    def __init__(self, rank, type_of, adj, labels=None, provenance=None):
+    def __init__(self, rank, type_of, indptr, indices, labels=None,
+                 provenance=None):
         self.rank = rank
         self.type_of = tuple(type_of)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
-        self.adjsets = tuple(frozenset(a) for a in self.adj)
+        self.indptr = indptr
+        self.indices = indices
         self.nelements = len(self.type_of)
         self.labels = tuple(labels) if labels is not None else None
         self.provenance = provenance
+
+    @functools.cached_property
+    def adj(self):
+        flat = self.indices.tolist()
+        ends = self.indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]))
 
     def elements_of_type(self, i):
         return [e for e in range(self.nelements) if self.type_of[e] == i]
@@ -90,47 +101,67 @@ class IncidenceGeometry:
         return tuple(counts)
 
     def incident(self, x, y):
-        return y in self.adjsets[x]
+        return y in self.adj[x]
 
     def incidence_pairs(self):
-        return [(x, y) for x in range(self.nelements)
-                for y in self.adj[x] if x < y]
+        owner = _owners(self)
+        upper = owner < self.indices
+        return list(zip(owner[upper].tolist(), self.indices[upper].tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, IncidenceGeometry):
             return NotImplemented
         return (self.rank == other.rank and self.type_of == other.type_of
-                and self.adj == other.adj)
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
 
     def __repr__(self):
         return "IncidenceGeometry(rank=%d, counts=%s)" % (
             self.rank, self.type_counts())
 
 
+def _owners(g):
+    """The row of each entry of g.indices."""
+    return np.repeat(np.arange(g.nelements, dtype=np.int32),
+                     np.diff(g.indptr))
+
+
 def build_geometry(rank, types, pairs, labels=None, provenance=None):
     """Validate raw data and assemble a geometry.
 
-    types: iterable of per-element type indices (element ids are the
-    positions).  pairs: iterable of (x, y) incidences, symmetrized.
+    types: per-element type indices (element ids are the positions).
+    pairs: (x, y) incidences, a sequence or a (k, 2) array, symmetrized.
+    The first bad type, then the first bad pair in input order, raises.
     """
-    types = list(types)
+    try:
+        types, pairs = (np.asarray(a, dtype=np.int64) for a in (types, pairs))
+    except OverflowError:  # an integer past int64: compare Python ints
+        types, pairs = (np.asarray(a, dtype=object) for a in (types, pairs))
     m = len(types)
-    for t in types:
-        if not (0 <= t < rank):
-            raise UnknownElement("type %r out of range" % (t,))
-    adj = [set() for _ in range(m)]
-    for x, y in pairs:
-        if not (0 <= x < m) or not (0 <= y < m):
+    bad = (types < 0) | (types >= rank)
+    if bad.any():
+        raise UnknownElement("type %r out of range"
+                             % (types.tolist()[np.argmax(bad)],))
+    pairs = pairs.reshape(-1, 2)
+    inside = ((pairs >= 0) & (pairs < m)).all(axis=1)
+    x, y = pairs[inside].astype(np.int64).T
+    bad = ~inside
+    bad[inside] = (x == y) | (types[x] == types[y])
+    if bad.any():
+        x, y = pairs[np.argmax(bad)].tolist()
+        if not (0 <= x < m and 0 <= y < m):
             raise UnknownElement("incidence (%r,%r)" % (x, y))
         if x == y:
             raise SelfIncidence("element %d incident to itself" % x)
-        if types[x] == types[y]:
-            raise SameTypeIncidence("elements %d,%d share type %d"
-                                    % (x, y, types[x]))
-        adj[x].add(y)
-        adj[y].add(x)
-    return IncidenceGeometry(rank, types, adj, labels=labels,
-                             provenance=provenance)
+        raise SameTypeIncidence("elements %d,%d share type %d"
+                                % (x, y, types[x]))
+    # codes row * m + column, sorted, repeats dropped (np.unique is slower)
+    code = np.sort(np.concatenate([x * m + y, y * m + x]))
+    code = code[np.diff(code, prepend=-1) != 0]
+    return IncidenceGeometry(rank, types.tolist(),
+                             np.searchsorted(code, np.arange(m + 1) * m),
+                             (code % m).astype(np.int32),
+                             labels=labels, provenance=provenance)
 
 
 def _check_flag(g, f):
@@ -151,15 +182,11 @@ def _check_flag(g, f):
 
 
 def flag_candidates(g, f):
-    """Elements incident to every member of f (the residue's elements);
-    all elements for the empty flag."""
+    """Elements incident to every member of f (the residue's elements),
+    in increasing order; all elements for the empty flag."""
     f = list(f)
-    if not f:
-        return frozenset(range(g.nelements))
-    cand = g.adjsets[f[0]]
-    for x in f[1:]:
-        cand = cand & g.adjsets[x]
-    return cand
+    cand = set(g.adj[f[0]]) if f else set(range(g.nelements))
+    return sorted(cand.intersection(*(g.adj[x] for x in f[1:])))
 
 
 def _restrict(g, keep, kept_types):
@@ -167,10 +194,11 @@ def _restrict(g, keep, kept_types):
     sorted list kept_types, re-indexed densely; original ids are kept
     in labels."""
     tmap = {t: i for i, t in enumerate(kept_types)}
-    index = {e: i for i, e in enumerate(keep)}
     types = [tmap[g.type_of[e]] for e in keep]
-    pairs = [(index[x], index[y]) for x in keep for y in g.adj[x]
-             if y in index and x < y]
+    index = np.full(g.nelements, -1)
+    index[keep] = np.arange(len(keep))
+    pairs = index[np.stack([_owners(g), g.indices], axis=1)]
+    pairs = pairs[(pairs[:, 0] >= 0) & (pairs[:, 0] < pairs[:, 1])]
     labels = [g.labels[e] if g.labels is not None else e for e in keep]
     return build_geometry(len(kept_types), types, pairs, labels=labels)
 
@@ -183,7 +211,7 @@ def residue(g, f):
     """
     f = _check_flag(g, f)
     cotype = sorted(set(range(g.rank)) - {g.type_of[x] for x in f})
-    return _restrict(g, sorted(flag_candidates(g, f)), cotype)
+    return _restrict(g, flag_candidates(g, f), cotype)
 
 
 def truncation(g, J):
@@ -222,13 +250,9 @@ def _upper_rows(g):
     """The neighbours above each element, as a CSR tail: (begin, size,
     indices), the neighbours of e above e being
     indices[begin[e]:begin[e] + size[e]], in increasing order."""
-    m = g.nelements
-    degree = np.fromiter(map(len, g.adj), dtype=np.int64, count=m)
-    indices = np.fromiter(itertools.chain.from_iterable(g.adj),
-                          dtype=np.int32, count=int(degree.sum()))
-    owner = np.repeat(np.arange(m, dtype=np.int32), degree)
-    size = np.bincount(owner[indices > owner], minlength=m)
-    return np.cumsum(degree) - size, size, indices
+    owner = _owners(g)
+    size = np.bincount(owner[g.indices > owner], minlength=g.nelements)
+    return g.indptr[1:] - size, size, g.indices
 
 
 def _find(code, prefix, c, m):
@@ -446,22 +470,24 @@ def is_thin(g):
     return _require_geometry(g).thin
 
 
-def rank2_label(g, points, lines):
-    """(gonality, point diameter, line diameter) of a rank-2 residue.
+def rank2_label(pairs):
+    """(gonality, point diameter, line diameter) of a rank-2 residue
+    from its incident (point, line) pairs, which must cover it; a point
+    and a line may share an id.
 
     Computed by BFS on the bipartite incidence graph; gonality is half
     the shortest circuit length, math.inf when the graph is acyclic.
     """
-    nodes = sorted(points) + sorted(lines)
-    if not points or not lines:
-        return (math.inf, 0, 0)
-    index = {e: i for i, e in enumerate(nodes)}
-    nbrs = [[index[y] for y in g.adj[x] if y in index] for x in nodes]
-    n = len(nodes)
+    pairs = set(pairs)
+    points = {p: k for k, p in enumerate({p for p, _ in pairs})}
+    lines = {l: k for k, l in enumerate({l for _, l in pairs}, len(points))}
+    n = len(points) + len(lines)
+    nbrs = [[] for _ in range(n)]
+    for p, l in pairs:
+        nbrs[points[p]].append(lines[l])
+        nbrs[lines[l]].append(points[p])
     girth = math.inf
-    dp = 0
-    dl = 0
-    npts = len(points)
+    diameter = [0, 0]  # over the points, over the lines
     for src in range(n):
         dist = [-1] * n
         parent = [-1] * n
@@ -486,12 +512,10 @@ def rank2_label(g, points, lines):
         girth = min(girth, local_cycle)
         if -1 in dist:
             ecc = math.inf
-        if src < npts:
-            dp = max(dp, ecc)
-        else:
-            dl = max(dl, ecc)
+        side = int(src >= len(points))
+        diameter[side] = max(diameter[side], ecc)
     g_val = math.inf if math.isinf(girth) else girth // 2
-    return (g_val, dp, dl)
+    return (g_val, *diameter)
 
 
 class BuekenhoutDiagram:
@@ -547,20 +571,19 @@ def diagram_shape(rank, edges):
 def buekenhout_diagram(g):
     """Labels of every rank-2 residue, read off the chambers.  Those
     agreeing outside types i, j contain one flag F of cotype {i, j},
-    and their columns i, j are the points and lines of F's residue: in
-    a geometry, F + {p, l} is a chamber exactly when p and l are
-    incident.  Residues with the same points and lines count once."""
+    and their columns i, j are the incident (point, line) pairs of F's
+    residue: in a geometry, F + {p, l} is a chamber exactly when p and
+    l are incident.  Residues with the same pairs, hence the same
+    points and lines, count once."""
     chambers = _require_geometry(g).chambers
     entries = {}
     for i, j in itertools.combinations(range(g.rank), 2):
         order, starts = _classes(chambers, [t for t in range(g.rank)
                                             if t not in (i, j)])
-        residues = set()
-        for block in np.split(chambers[order], starts[1:]):
-            residues.add((frozenset(block[:, i].tolist()),
-                          frozenset(block[:, j].tolist())))
-        labels = collections.Counter(rank2_label(g, points, lines)
-                                     for points, lines in residues)
+        residues = {tuple(sorted(zip(block[:, i].tolist(),
+                                     block[:, j].tolist())))
+                    for block in np.split(chambers[order], starts[1:])}
+        labels = collections.Counter(map(rank2_label, residues))
         entries[(i, j)] = tuple(sorted(labels.items()))
     return BuekenhoutDiagram(g.rank, entries)
 

@@ -288,24 +288,41 @@ def test_check_geometry_with_float_type_id(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("usage error:")
 
 
-@pytest.mark.parametrize("doc", [
-    {"rank": 1, "elements": [{"id": 0, "type": 0}, {"id": 0, "type": 0}],
-     "incidences": []},
-    {"rank": 2, "elements": [{"id": 0, "type": 0}, {"id": 1, "type": 1}],
-     "incidences": [[0, 0]]},
-    {"rank": 2, "elements": [{"id": 0, "type": 0}, {"id": 1, "type": 0},
-                             {"id": 2, "type": 1}],
-     "incidences": [[0, 1]]},
-    {"rank": 2, "elements": [{"id": 0, "type": 0}, {"id": 1, "type": 1}],
-     "incidences": [[0, 5]]},
-    {"rank": 1, "elements": [{"id": 0, "type": 3}], "incidences": []},
+EDGE = [{"id": 0, "type": 0}, {"id": 1, "type": 1}]
+THREE = [{"id": 0, "type": 0}, {"id": 1, "type": 0}, {"id": 2, "type": 1}]
+
+
+# the first bad pair in input order is named, however large its ends
+@pytest.mark.parametrize("doc,err", [
+    ({"rank": 1, "elements": [{"id": 0, "type": 0}, {"id": 0, "type": 0}],
+      "incidences": []}, "element ids must be dense 0..m-1"),
+    ({"rank": 2, "elements": EDGE, "incidences": [[0, 0]]},
+     "element 0 incident to itself"),
+    ({"rank": 2, "elements": THREE, "incidences": [[0, 1]]},
+     "elements 0,1 share type 0"),
+    ({"rank": 2, "elements": EDGE, "incidences": [[0, 5]]},
+     "incidence (0,5)"),
+    ({"rank": 1, "elements": [{"id": 0, "type": 3}], "incidences": []},
+     "type 3 out of range"),
+    ({"rank": 2, "elements": EDGE, "incidences": [[0, 1], [0, 10 ** 30]]},
+     "incidence (0,1000000000000000000000000000000)"),
+    ({"rank": 2, "elements": EDGE, "incidences": [[-2 ** 70, 1]]},
+     "incidence (-1180591620717411303424,1)"),
+    # numpy alone would read these ends as floats
+    ({"rank": 2, "elements": EDGE, "incidences": [[0, 1], [2 ** 63, 0]]},
+     "incidence (9223372036854775808,0)"),
+    ({"rank": 2, "elements": THREE,
+      "incidences": [[0, 2], [0, 1], [2, 10 ** 30]]},
+     "elements 0,1 share type 0"),
 ], ids=["duplicate-id", "self-incidence", "same-type-incidence",
-        "incidence-out-of-range", "type-out-of-range"])
-def test_check_malformed_geometry(tmp_path, capsys, doc):
+        "incidence-out-of-range", "type-out-of-range", "end-past-int64",
+        "end-below-int64", "end-past-int64-among-small",
+        "same-type-before-out-of-range"])
+def test_check_malformed_geometry(tmp_path, capsys, doc, err):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert run(["check", str(bad), "--props", "geom"]) == 2
-    assert capsys.readouterr().err.startswith("usage error:")
+    assert capsys.readouterr().err == "usage error: %s\n" % err
 
 
 @pytest.fixture()
@@ -329,7 +346,9 @@ def test_max_cosets_environment_above_int32(a2_file, monkeypatch, capsys):
 
 
 # Small ints only, except for a presentation's ngens, which is also
-# drawn past its bound: it sets the width of every coset table row.
+# drawn past its bound: it sets the width of every coset table row;
+# and incidence ends, drawn unbounded: the geometry builder works on
+# int64 arrays and must still name an end past int64.
 SCALARS = (st.none() | st.booleans() | st.integers(-2, 6)
            | st.floats(allow_nan=False) | st.text(max_size=3))
 JSON = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
@@ -340,8 +359,8 @@ GEOMETRIES = st.fixed_dictionaries(
      "elements": st.lists(st.fixed_dictionaries({"id": JSON,
                                                  "type": JSON}) | JSON,
                           max_size=4) | JSON,
-     "incidences": st.lists(st.lists(JSON, max_size=3), max_size=4)
-     | JSON},
+     "incidences": st.lists(st.lists(JSON | st.integers(), max_size=3),
+                            max_size=4) | JSON},
     optional={"provenance": JSON})
 PRESENTATIONS = st.fixed_dictionaries(
     {"ngens": JSON | st.integers(pres.MAX_NGENS - 2, 2 ** 40),
@@ -362,6 +381,8 @@ COMMANDS = [
 @example(doc={"ngens": 1.5, "relators": [[0, 0]]}, command=COMMANDS[1])
 @example(doc={"ngens": 10 ** 8, "relators": []}, command=COMMANDS[1])
 @example(doc={"rank": 10 ** 12, "elements": [], "incidences": []},
+         command=COMMANDS[0])
+@example(doc={"rank": 2, "elements": EDGE, "incidences": [[0, 10 ** 30]]},
          command=COMMANDS[0])
 def test_loaders_exit_with_a_code_on_any_json(tmp_path, capsys, doc,
                                                command):

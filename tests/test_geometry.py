@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hyperforge import geometry as geo
 from hyperforge import constructions as cons
-from hyperforge import errors, toroids
+from hyperforge import engine, errors, toroids
 from hyperforge.iso import isomorphic, is_flag_transitive
 
 from conftest import make_cube, make_polygon, make_tetrahedron, \
@@ -206,7 +206,7 @@ def scan_flags(g, visit):
         last = flag[-1] if flag else -1
         for c in sorted(cand, reverse=True):
             if c > last:
-                stack.append((flag + (c,), cand & g.adjsets[c]))
+                stack.append((flag + (c,), cand & frozenset(g.adj[c])))
     return count
 
 
@@ -443,6 +443,40 @@ def test_to_json_matches_the_json_encoder(toroid_313):
         assert geo.to_json(g) == json_by_dumps(g)
 
 
+def assert_csr(g):
+    """g's incidence is one CSR whose rows are strictly increasing, and
+    the relation it holds is symmetric and irreflexive; the geometry
+    survives a JSON round trip, unless it has more types than elements,
+    which from_json refuses."""
+    assert g.indptr[0] == 0 and g.indptr[-1] == len(g.indices)
+    assert len(g.indptr) == g.nelements + 1
+    owner = np.repeat(np.arange(g.nelements), np.diff(g.indptr))
+    same_row = owner[1:] == owner[:-1]
+    assert (np.diff(g.indices)[same_row] > 0).all()
+    pairs = set(zip(owner.tolist(), g.indices.tolist()))
+    assert all(x != y for x, y in pairs)
+    assert pairs == {(y, x) for x, y in pairs}
+    if g.rank <= g.nelements:
+        assert geo.from_json(geo.to_json(g)) == g
+
+
+def test_csr_invariants(toroid_313):
+    rng = random.Random(20261021)
+    sizes = set()
+    for _ in range(3000):
+        g = random_incidence_system(rng, least=0)
+        sizes.add(min(g.rank, g.nelements))
+        assert_csr(g)
+    assert 0 in sizes
+    # the group side builds no per-element Python rows
+    g = engine.coset_geometry(toroid_313[0])
+    for step in (geo._scan_geometry, geo.to_json, engine.coset_diagram):
+        assert "adj" not in vars(g)
+        step(g)
+    assert "adj" not in vars(g)
+    assert_csr(g)
+
+
 def diagram_by_flags(g):
     """buekenhout_diagram(g).entries read off every corank-2 flag: the
     flag's candidates of the two missing types are its residue's
@@ -460,7 +494,8 @@ def diagram_by_flags(g):
         key = (i, j, pts, lns)
         if key not in done:
             done.add(key)
-            lab = geo.rank2_label(g, pts, lns)
+            lab = geo.rank2_label((p, l) for p in pts for l in lns
+                                  if g.incident(p, l))
             seen[(i, j)][lab] = seen[(i, j)].get(lab, 0) + 1
 
     scan_flags(g, visit)
