@@ -221,5 +221,6 @@ def induced_geometry_map(ga, gb, gen_map, type_map):
         if np.any(a[1:] == a[:-1]):
             return None
         emap[a + da.offsets[i]] = b + db.offsets[ti]
-    emap = emap.tolist()
-    return emap if geo.preserves_incidence(ga, gb, emap, type_map) else None
+    if not geo.preserves_incidence(ga, gb, emap, type_map):
+        return None
+    return emap.tolist()

@@ -591,16 +591,22 @@ def buekenhout_diagram(g):
 def preserves_incidence(ga, gb, element_map, type_map):
     """True when element_map is a bijection from ga's elements onto
     gb's that sends type t to type_map[t] and the incidences of each
-    element onto those of its image."""
-    if sorted(element_map) != list(range(gb.nelements)):
+    element onto those of its image.
+
+    Read on the CSR: the mapped incidence codes row * m + column,
+    sorted, must be gb's, which its strictly increasing rows list in
+    order."""
+    m = gb.nelements
+    emap = np.asarray(element_map, dtype=np.int64)
+    if ga.nelements != m or len(emap) != m or not np.array_equal(
+            np.sort(emap), np.arange(m)):
         return False
-    for e in range(ga.nelements):
-        f = element_map[e]
-        if type_map[ga.type_of[e]] != gb.type_of[f]:
-            return False
-        if sorted(element_map[y] for y in ga.adj[e]) != list(gb.adj[f]):
-            return False
-    return True
+    tmap = np.asarray(type_map, dtype=np.int64)
+    types = tmap[np.asarray(ga.type_of, dtype=np.int64)]
+    if not np.array_equal(types, np.asarray(gb.type_of)[emap]):
+        return False
+    code = np.sort(emap[_owners(ga)] * m + emap[ga.indices])
+    return np.array_equal(code, _owners(gb) * np.int64(m) + gb.indices)
 
 
 def _json_block(items):

@@ -129,7 +129,7 @@ def validate_action(g, action):
         raise NotAnAction("degree %d != %d elements"
                           % (action.degree, g.nelements))
     for x, p in enumerate(action.gens):
-        if not geo.preserves_incidence(g, g, p.tolist(), range(g.rank)):
+        if not geo.preserves_incidence(g, g, p, range(g.rank)):
             raise NotAnAction("generator %d does not preserve types"
                               " and incidence" % x)
 

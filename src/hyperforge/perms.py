@@ -135,8 +135,10 @@ def orbit_labels(perms, degree):
 def label_pairs(a, b):
     """The distinct pairs (a[w], b[w]) of two labellings of the same
     points by non-negative ints, as two arrays sorted by (a, b)."""
-    m = int(b.max()) + 1
-    codes = np.unique(a * m + b)
+    m = int(b.max()) + 1 if b.size else 1
+    # sorted codes, repeats dropped (np.unique hashes, which is slower)
+    codes = np.sort(a * m + b)
+    codes = codes[np.diff(codes, prepend=-1) != 0]
     return codes // m, codes % m
 
 

@@ -5,7 +5,8 @@ the translation lattice generated by (s^k, 0^(n-k)) with k in {1,2,n}.
 Their symmetry groups come from one extra relator on top of the linear
 Coxeter diagram 4-3-...-3-4; the halving subgroups have their own
 closed-form presentations on Y- and cycle-shaped diagrams, which
-verify_family cross-checks against direct subgroup computation.
+verify_family cross-checks against direct subgroup computation by
+the index of a finite parabolic (see _agreement).
 
 Every stage is certified a regular hypertope on the group side, by
 the same argument at every size: a C-group whose coset geometry
@@ -15,8 +16,10 @@ satisfies Tits' flag-transitivity condition (see _certify).
 import logging
 import time
 
+import numpy as np
+
 from .errors import InvalidParams, UnsupportedCase, PropertyViolation, \
-    MismatchReport
+    MismatchReport, Overflow
 from .presentations import GroupPresentation, coxeter_presentation, \
     relator_parity_bipartite
 from .toddcox import todd_coxeter, perm_image
@@ -300,9 +303,34 @@ def build_cubic_toroid(p, max_cosets=None):
     return pg, g
 
 
-def _agreement(pres, hg, context, diffs, max_cosets=None):
-    """Presentation group vs directly computed subgroup: order,
-    Coxeter matrix, coset geometry isomorphism."""
+def _parabolic_index(pres, hg, max_cosets):
+    """(index, |P_K|) of the parabolic index certificate of _agreement,
+    or (None, None) when step 1 fails or an enumeration overflows."""
+    ident = np.arange(hg.degree)
+    if not (hg.regular and pres.ngens == hg.ngens >= 2 and all(
+            np.array_equal(g[g], ident) for g in hg.gens)):
+        return None, None
+    for w in pres.relators:
+        c = 0
+        for x in w:
+            c = int(hg.gens[x][c])
+        if c != 0:
+            return None, None
+    sub = GroupPresentation(pres.ngens - 1, [
+        tuple(x - 1 for x in w) for w in pres.relators if 0 not in w])
+    try:
+        order_k = todd_coxeter(sub, max_cosets=hg.order()).ncosets
+        index = todd_coxeter(pres, subgens=[(x,) for x in range(
+            1, pres.ngens)], max_cosets=max_cosets).ncosets
+    except Overflow:
+        return None, None
+    return index, order_k
+
+
+def _full_agreement(pres, hg, context, diffs, max_cosets=None):
+    """Presentation group vs directly computed subgroup, by enumerating
+    the presentation whole: order, Coxeter matrix, coset geometry
+    isomorphism."""
     t = todd_coxeter(pres, max_cosets=max_cosets)
     qg = perm_image(t)
     entry = {"order_presentation": qg.order(), "order_subgroup": hg.order()}
@@ -321,6 +349,47 @@ def _agreement(pres, hg, context, diffs, max_cosets=None):
     entry["coset_geometry_isomorphic"] = emap is not None
     if emap is None:
         diffs.append((context, "coset_geometry_iso", True, False))
+    return entry, gh
+
+
+def _agreement(pres, hg, context, diffs, max_cosets=None):
+    """Presentation group G vs directly computed subgroup hg: order,
+    Coxeter matrix, coset geometry isomorphism.  Returns (entry, coset
+    geometry of hg, or None when the orders differ).
+
+    First a proof that x_i -> hg.gens[i] is an isomorphism G -> hg,
+    which makes every field agree:
+      1. hg is regular, its generators square to 1 (the implicit
+         square relators of pres) and every relator of pres sends
+         point 0 to 0, hence is trivial in hg.  So the map is a
+         homomorphism, onto since the gens generate hg: |G| >= |hg|.
+      2. K = <x_1, ..., x_n> satisfies the relators of pres on those
+         letters, so it is a quotient of the group P_K they present
+         and |K| <= |P_K| (enumerated within |hg| cosets).
+      3. Enumerating the cosets of K in G gives its index.
+      4. If index * |P_K| = |hg|, then |G| = index * |K| <= |hg|, so
+         the map is a bijection.
+    This is coset enumeration over a subgroup of bounded order
+    (Holt-Eick-O'Brien, Handbook of Computational Group Theory, 2005,
+    ch. 5).  When a step fails or overflows, the presentation is
+    enumerated whole and compared field by field (_full_agreement).
+    Logs which of the two certificates decided.
+    """
+    start = time.perf_counter()
+    index, order_k = _parabolic_index(pres, hg, max_cosets)
+    if index is not None and index * order_k == hg.order():
+        how = "parabolic index"
+        order = hg.order()
+        entry = {"order_presentation": order, "order_subgroup": order,
+                 "coxeter_matrix_equal": True,
+                 "coset_geometry_isomorphic": True}
+        gh = engine.coset_geometry(hg)
+    else:
+        how = "full enumeration"
+        entry, gh = _full_agreement(pres, hg, context, diffs, max_cosets)
+    log.debug("%s: presentation agreement by %s, index %s, |P_K| %s, "
+              "order %d, %.3f s", context, how, index, order_k, hg.order(),
+              time.perf_counter() - start)
     return entry, gh
 
 

@@ -7,6 +7,7 @@ indices and flags-per-cell, shapes frozen as literals).
 
 import hashlib
 import json
+import logging
 import random
 
 import networkx as nx
@@ -42,6 +43,22 @@ EXPECTED_ORDER = {
 
 @pytest.fixture(scope="module")
 def envelope():
+    # each _agreement call ends on a DEBUG line naming its certificate
+    logger = logging.getLogger("hyperforge")
+    lines = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = lambda record: lines.append(record.getMessage())
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        return envelope_records(lines)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def envelope_records(lines):
     records = {}
     for (n, k, s) in CELLS:
         p = toroids.ToroidParams(n, k, s)
@@ -61,6 +78,7 @@ def envelope():
         rec["halved"], _ = toroids._agreement(
             toroids.halved_presentation(p), hg, "halved",
             rec["halved_diffs"])
+        rec["halved_log"] = lines[-1]
         if (k, s) != (2, 2):
             h2 = engine.halving_group(hg, (n, n - 1))
             rec["h2_order"] = h2.order()
@@ -68,6 +86,7 @@ def envelope():
             rec["double"], _ = toroids._agreement(
                 toroids.double_halved_presentation(p), h2, "double_halved",
                 rec["double_diffs"])
+            rec["double_log"] = lines[-1]
         records[(n, k, s)] = rec
     return records
 
@@ -129,6 +148,8 @@ def test_presentation_agreement_halved(envelope):
         assert envelope[cell]["halved_diffs"] == [], cell
         assert entry["coxeter_matrix_equal"] is True, cell
         assert entry["coset_geometry_isomorphic"] is True, cell
+        assert envelope[cell]["halved_log"].startswith(
+            "halved: presentation agreement by parabolic index, "), cell
 
 
 def test_presentation_agreement_double_halved(envelope):
@@ -142,6 +163,9 @@ def test_presentation_agreement_double_halved(envelope):
         assert rec["double_diffs"] == [], (n, k, s)
         assert entry["coxeter_matrix_equal"] is True, (n, k, s)
         assert entry["coset_geometry_isomorphic"] is True, (n, k, s)
+        assert rec["double_log"].startswith(
+            "double_halved: presentation agreement by parabolic index, "), \
+            (n, k, s)
 
 
 def test_hemicube_halving_gives_tetrahedron(hemicube, tetrahedron):

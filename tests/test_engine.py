@@ -154,3 +154,11 @@ def test_induced_geometry_map_different_orders(simplex_group, cube_group):
     ga = engine.coset_geometry(simplex_group)
     gb = engine.coset_geometry(cube_group)
     assert engine.induced_geometry_map(ga, gb, [0, 1, 2], [0, 1, 2]) is None
+
+
+def test_induced_geometry_map_reads_no_adjacency_view(simplex_group):
+    ga = engine.coset_geometry(simplex_group)
+    gb = engine.coset_geometry(regular_group(A3))
+    rev = [2, 1, 0]
+    assert engine.induced_geometry_map(ga, gb, rev, rev) is not None
+    assert "adj" not in vars(ga) and "adj" not in vars(gb)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import logging
@@ -625,3 +626,57 @@ def test_scan_and_rc_are_logged(caplog):
     # the shared vertex's residue, of cotype {1, 2}, is two hexagons
     assert lines[3].startswith("residual connectedness: False at cotype"
                                " (1, 2), 3 cotypes checked, ")
+
+
+def preserves_by_rows(ga, gb, element_map, type_map):
+    """geometry.preserves_incidence element by element on the rows."""
+    if sorted(element_map) != list(range(gb.nelements)):
+        return False
+    for e in range(ga.nelements):
+        f = element_map[e]
+        if type_map[ga.type_of[e]] != gb.type_of[f]:
+            return False
+        if sorted(element_map[y] for y in ga.adj[e]) != list(gb.adj[f]):
+            return False
+    return True
+
+
+def test_preserves_incidence_matches_the_rows_on_random_systems():
+    rng = random.Random(20261019)
+    seen = collections.Counter()
+    for _ in range(2000):
+        g = random_incidence_system(rng, least=0)
+        m = g.nelements
+        tmap = list(range(g.rank))
+        rng.shuffle(tmap)
+        emap = list(range(m))
+        rng.shuffle(emap)
+        types = [0] * m
+        for e in range(m):
+            types[emap[e]] = tmap[g.type_of[e]]
+        pairs = [(emap[x], emap[y]) for x, y in g.incidence_pairs()]
+        image = geo.build_geometry(g.rank, types, pairs)
+        other = random_incidence_system(rng, least=0)
+        for gb, phi, tm in [(image, emap, tmap), (g, emap, tmap),
+                            (image, emap[::-1], tmap)] + (
+                [(other, list(range(m)), list(range(other.rank)))]
+                if other.nelements == m and other.rank == g.rank else []):
+            want = preserves_by_rows(g, gb, phi, tm)
+            assert geo.preserves_incidence(g, gb, phi, tm) is want
+            seen[want] += 1
+    assert seen[True] > 1000 and seen[False] > 1000
+
+
+def test_preserves_incidence_sees_one_moved_incidence(toroid_313):
+    _, g = toroid_313
+    ident = list(range(g.nelements))
+    assert geo.preserves_incidence(g, g, ident, range(g.rank))
+    pairs = g.incidence_pairs()
+    x, y = pairs[0]
+    # a type-of-y element away from x takes y's place on x
+    z = next(e for e in range(g.nelements)
+             if g.type_of[e] == g.type_of[y] and e not in g.adj[x])
+    moved = geo.build_geometry(g.rank, g.type_of, [(x, z)] + pairs[1:])
+    assert moved.indices.size == g.indices.size
+    assert not geo.preserves_incidence(g, moved, ident, range(g.rank))
+    assert not geo.preserves_incidence(moved, g, ident, range(g.rank))

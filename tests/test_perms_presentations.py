@@ -74,6 +74,18 @@ def test_label_pairs_against_row_unique(labellings):
     assert np.array_equal(pb, rows[:, 1])
 
 
+@pytest.mark.parametrize("size", [0, 1, 1000, 10 ** 5])
+def test_label_pairs_matches_np_unique(size):
+    rng = np.random.default_rng(size)
+    a = rng.integers(0, 50, size)
+    b = rng.integers(0, 1 + size // 10, size)
+    m = int(b.max()) + 1 if size else 1
+    codes = np.unique(a * m + b)
+    pa, pb = label_pairs(a, b)
+    for got, want in ((pa, codes // m), (pb, codes % m)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def check_bfs_tree(gens, degree):
     reached = [0]
     for p, y, q in bfs_tree(gens, degree):

@@ -103,6 +103,9 @@ def test_csv_shape():
     double_halved_presentation(ToroidParams(3, 1, 3)),
     # 85,685 rows: lookaheads that merge cosets, with long closure words
     halved_presentation(ToroidParams(4, 1, 3)),
+    # 15,552 cosets: the P-branch closure words rewritten into the
+    # double halving
+    double_halved_presentation(ToroidParams(4, 1, 3)),
 ])
 def test_backends_agree(pres, compiled_kernel):
     tp = todd_coxeter(pres, backend="pure")

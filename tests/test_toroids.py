@@ -3,12 +3,14 @@ import json
 import logging
 import re
 
+import numpy as np
 import pytest
 
-from hyperforge import errors
+from hyperforge import engine, errors
 from hyperforge import geometry as geo
 from hyperforge import toroids
-from hyperforge.perms import coxeter_matrix
+from hyperforge.perms import PermGroup, coxeter_matrix, perm_mul
+from hyperforge.presentations import GroupPresentation
 from hyperforge.toddcox import todd_coxeter, perm_image
 
 
@@ -154,13 +156,144 @@ def test_verify_family_bad_depth():
         toroids.verify_family(toroids.ToroidParams(3, 2, 2), depth=5)
 
 
-def test_verify_family_rank6(compiled_kernel):
+def test_verify_family_rank6(compiled_kernel, caplog):
     # the smallest rank-6 cell, 245,760 elements: pins the general-n
     # halved presentation and toroid words, which the n <= 4 envelope
     # does not reach
+    caplog.set_level(logging.DEBUG, logger="hyperforge")
     report = toroids.verify_family(toroids.ToroidParams(5, 2, 2), depth=1)
+    line, = agreement_lines(caplog)
+    assert line.startswith("halved: presentation agreement by parabolic "
+                           "index, ")
     assert report["ok"]
     text = json.dumps(report, sort_keys=True, default=str)
     assert hashlib.sha256(text.encode()).hexdigest() \
         == "5675ba03522e32537a49aad0fd883f16" \
            "8ada65d6dd2610c676e7e0ef930d4d69"
+
+
+FAMILY_CELLS = [(3, 1, 3), (3, 1, 4), (3, 2, 2), (3, 2, 3), (3, 2, 4),
+                (3, 3, 2), (3, 3, 3), (3, 3, 4), (4, 2, 2)]
+
+
+def halvings(cell):
+    """(name, closed-form presentation, halving group) of each halving
+    of the cell that has a closed form."""
+    p = toroids.ToroidParams(*cell)
+    n = p.n
+    pg = perm_image(todd_coxeter(toroids.cubic_toroid_presentation(p)))
+    hg = engine.halving_group(pg, (0, 1))
+    out = [("halved", toroids.halved_presentation(p), hg)]
+    if cell[1:] != (2, 2):
+        out.append(("double_halved", toroids.double_halved_presentation(p),
+                    engine.halving_group(hg, (n, n - 1))))
+    return out
+
+
+def agreement_lines(caplog):
+    return [r.getMessage() for r in caplog.records
+            if "presentation agreement" in r.getMessage()]
+
+
+@pytest.mark.parametrize("cell", FAMILY_CELLS, ids=lambda c: "%d%d%d" % c)
+def test_index_certificate_matches_the_full_comparison(cell, caplog):
+    caplog.set_level(logging.DEBUG, logger="hyperforge")
+    for name, pres, hg in halvings(cell):
+        caplog.clear()
+        diffs = []
+        entry, gh = toroids._agreement(pres, hg, name, diffs)
+        line, = agreement_lines(caplog)
+        assert " by parabolic index, " in line
+        full_diffs = []
+        full, full_gh = toroids._full_agreement(pres, hg, name, full_diffs)
+        assert entry == full and diffs == full_diffs == []
+        assert list(entry) == list(full)
+        assert gh == full_gh
+
+
+def test_agreement_certificate_is_logged(caplog):
+    caplog.set_level(logging.DEBUG, logger="hyperforge")
+    (name, pres, hg), = halvings((3, 2, 2))
+    toroids._agreement(pres, hg, name, [])
+    line, = agreement_lines(caplog)
+    assert re.fullmatch(r"halved: presentation agreement by parabolic "
+                        r"index, index 8, \|P_K\| 48, order 384, "
+                        r"\d+\.\d{3} s", line)
+
+
+def assert_falls_back(pres, hg, caplog, want_diffs):
+    """_agreement gives the full comparison's entry and diffs, decided
+    by the full enumeration."""
+    caplog.set_level(logging.DEBUG, logger="hyperforge")
+    caplog.clear()
+    diffs = []
+    entry, gh = toroids._agreement(pres, hg, "halved", diffs)
+    line, = agreement_lines(caplog)
+    assert " by full enumeration, " in line
+    full_diffs = []
+    full, full_gh = toroids._full_agreement(pres, hg, "halved", full_diffs)
+    assert entry == full and diffs == full_diffs
+    assert (gh is None) == (full_gh is None)
+    assert diffs == want_diffs
+    return line
+
+
+def test_index_certificate_negative_controls(caplog):
+    (_, pres, hg), _ = halvings((3, 1, 3))
+    # without its closure relators the halved presentation presents a
+    # group four times larger: index 108 times |P_K| 48
+    bare = GroupPresentation(pres.ngens, pres.relators[:7])
+    line = assert_falls_back(bare, hg, caplog,
+                             [("halved", "order", 5184, 1296)])
+    assert "index 108, |P_K| 48, order 1296" in line
+    # a relator that fails in hg: x0 = x1 collapses the presented group
+    wrong = GroupPresentation(pres.ngens, pres.relators + ((0, 1),))
+    line = assert_falls_back(wrong, hg, caplog,
+                             [("halved", "order", 12, 1296)])
+    assert "index None, |P_K| None" in line
+    # a generator of order 3 (rho1 rho2 still generates with rho2)
+    gens = list(hg.gens)
+    gens[1] = perm_mul(gens[1], gens[2])
+    odd = PermGroup(hg.degree, gens, regular=True, order=hg.order())
+    assert_falls_back(pres, odd, caplog, [
+        ("halved", "coxeter_matrix", coxeter_matrix(hg), coxeter_matrix(odd)),
+        ("halved", "coset_geometry_iso", True, False)])
+
+
+def test_index_certificate_needs_involutions(caplog):
+    # C6 on a and a^-1 satisfies (x0 x1)^3, and index 3 times |<x1>| 2
+    # is 6, but S3 is not C6: only the implicit x0^2 tells them apart
+    a = (np.arange(6) + 1) % 6
+    c6 = PermGroup(6, [a, np.argsort(a)], regular=True, order=6)
+    s3 = GroupPresentation(2, [(0, 1) * 3])
+    assert toroids._parabolic_index(s3, c6, None) == (None, None)
+    assert_falls_back(s3, c6, caplog, [
+        ("halved", "coxeter_matrix", ((1, 3), (3, 1)), ((1, 1), (1, 1))),
+        ("halved", "coset_geometry_iso", True, False)])
+
+
+def test_index_certificate_needs_a_regular_group(caplog):
+    caplog.set_level(logging.DEBUG, logger="hyperforge")
+    (_, pres, hg), _ = halvings((3, 1, 3))
+    assert toroids._parabolic_index(pres, hg, None) == (27, 48)
+    # the same permutations, not declared regular: every relator fixes
+    # point 0 and 27 * 48 is the declared order, so only regularity
+    # keeps the proof from reading points as group elements
+    same = PermGroup(hg.degree, hg.gens, order=hg.order())
+    assert toroids._parabolic_index(pres, same, None) == (None, None)
+    # the action on the 27 cosets of <x1, x2, x3>
+    cosets = perm_image(todd_coxeter(pres, subgens=[(1,), (2,), (3,)]))
+    for group in (same, cosets):
+        for agree in (toroids._agreement, toroids._full_agreement):
+            with pytest.raises(errors.IncompleteTable, match="regular"):
+                agree(pres, group, "halved", [])
+    assert not agreement_lines(caplog)
+
+
+def test_index_certificate_keeps_the_coset_limit():
+    (_, pres, hg), _ = halvings((3, 3, 3))
+    # the index of <x1, x2, x3> is 108
+    for agree in (toroids._agreement, toroids._full_agreement):
+        with pytest.raises(errors.Overflow) as exc:
+            agree(pres, hg, "halved", [], max_cosets=100)
+        assert exc.value.max_cosets == 100
