@@ -4,8 +4,15 @@ Picks the compiled kernel (_tccore.c, a C extension built when a C
 compiler is present) when it is importable, otherwise the pure-Python
 one (_tcpure.py).  Both make the same sequence of definitions,
 deductions, merges, lookaheads and compactions, so their tables are
-bit-identical.  Completed tables are verified by replaying every
-relator from every coset and every subgroup word from coset 0.
+bit-identical.  Both skip the relator scans that cannot change the
+table: a relator is not scanned again from a coset on a cycle that it,
+or a rotation or reversal of it, already traces closed (a mark per
+coset and relator), and a lookahead starts at the HLT scan pointer,
+below which every relator traces closed.  The skips are no-ops since a
+closed trace stays closed: deductions only fill undefined entries and
+coincidence processing leaves every live row's entries defined.
+Completed tables are verified by replaying every relator from every
+coset and every subgroup word from coset 0.
 """
 
 import logging

@@ -1,12 +1,13 @@
 import hashlib
 import logging
+import pathlib
 import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hyperforge import errors
+from hyperforge import _tcpure, errors
 from hyperforge.presentations import GroupPresentation, coxeter_presentation
 from hyperforge.toddcox import (
     todd_coxeter, perm_image, default_max_cosets, DEFAULT_MAX_COSETS,
@@ -15,6 +16,10 @@ from hyperforge.toroids import (
     ToroidParams, cubic_toroid_presentation, double_halved_presentation,
     halved_presentation,
 )
+
+# _tcpure.py as it was before the kernels skipped relator scans, kept
+# unchanged as the oracle for the numbering
+import hlt_reference
 
 A3 = coxeter_presentation(((1, 3, 2), (3, 1, 3), (2, 3, 1)))
 B3 = coxeter_presentation(((1, 4, 2), (4, 1, 3), (2, 3, 1)))
@@ -120,6 +125,11 @@ def test_backends_agree(pres, compiled_kernel):
      "3f162d159c5d2520128fd3753226fd4d1864e2a156ca466334e824518d2b1933"),
     (double_halved_presentation(ToroidParams(3, 1, 3)),
      "2972eb0077883c0d4b237a0beefdcab6d620b62c45b9171c67c56c2d3d0baf46"),
+    # both run periodic lookaheads and compactions
+    (cubic_toroid_presentation(ToroidParams(4, 1, 4)),
+     "5cdde5eb75b2a53efa8fa3ce3b584212fbced4d31c82764493f4b9484f093dba"),
+    (double_halved_presentation(ToroidParams(4, 1, 3)),
+     "214e77c47bdafc96ba3492e7a855120a8d0b7aa51e5a06270d3094b702d6ffaa"),
 ])
 def test_pure_kernel_numbering_is_pinned(pres, digest):
     # guards the numbering where no C compiler can build the other kernel
@@ -281,3 +291,57 @@ def test_kernels_agree_on_random_coxeter_quotients(compiled_kernel, case):
         assert order % n == 0
         if not extra and not subgens:
             assert n == order
+
+
+def test_kernels_share_the_lookahead_schedule():
+    # bit-identical tables need one schedule; read without a C compiler
+    text = (pathlib.Path(_tcpure.__file__).with_name("_tccore.c")
+            .read_text())
+    shift = re.search(r"#define LOOKAHEAD_SLACK \(1L << (\d+)\)\n", text)
+    assert shift is not None
+    assert 1 << int(shift.group(1)) == _tcpure.LOOKAHEAD_SLACK
+
+
+def _kernel_outcome(kernel, pres, subgens, limit):
+    return kernel.enumerate_cosets(pres.ngens, list(pres.relators),
+                                   [list(w) for w in subgens], limit)
+
+
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(enumerations(), st.sampled_from([1, 2, 3, 8, 64]))
+def test_pure_kernel_matches_reference_with_small_slack(monkeypatch, case,
+                                                        slack):
+    # small slacks run periodic lookaheads, compactions and the
+    # overflow retry on small groups
+    m, extra, subgens, _, limit = case
+    monkeypatch.setattr(_tcpure, "LOOKAHEAD_SLACK", slack)
+    monkeypatch.setattr(hlt_reference, "LOOKAHEAD_SLACK", slack)
+    pres = coxeter_presentation(m, extra=extra)
+    assert (_kernel_outcome(_tcpure, pres, subgens, limit)
+            == _kernel_outcome(hlt_reference, pres, subgens, limit))
+
+
+@pytest.mark.parametrize("pres", [
+    halved_presentation(ToroidParams(4, 1, 3)),
+    double_halved_presentation(ToroidParams(4, 1, 3)),
+    cubic_toroid_presentation(ToroidParams(4, 1, 4)),
+])
+def test_pure_kernel_matches_reference(pres):
+    limit = DEFAULT_MAX_COSETS
+    assert (_kernel_outcome(_tcpure, pres, (), limit)
+            == _kernel_outcome(hlt_reference, pres, (), limit))
+
+
+@pytest.mark.parametrize("limit", [
+    40000,  # one retry, after a periodic lookahead; completes
+    31000,  # below the order, 31,104: retries that cannot help
+])
+def test_overflow_retry_agrees_at_scale(limit, compiled_kernel):
+    # the (4,1,3) halved presentation peaks at 85,685 rows with the
+    # default limit; these limits trip process() below that peak
+    pres = halved_presentation(ToroidParams(4, 1, 3))
+    ref = _kernel_outcome(hlt_reference, pres, (), limit)
+    assert ref == _kernel_outcome(_tcpure, pres, (), limit)
+    assert ref == _kernel_outcome(compiled_kernel, pres, (), limit)
+    assert (ref is None) == (limit < 31104)
