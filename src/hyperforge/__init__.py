@@ -9,8 +9,7 @@ from .geometry import (
 )
 from .iso import automorphism_group, isomorphic, find_isomorphism, \
     is_flag_transitive
-from .perms import PermGroup, subgroup_order, coxeter_matrix, \
-    intersection_property
+from .perms import PermGroup, coxeter_matrix, intersection_property
 from .presentations import GroupPresentation, coxeter_presentation, \
     relator_parity_bipartite
 from .toddcox import todd_coxeter, perm_image, CosetTable, backend_name

@@ -7,12 +7,15 @@ identity, generators act by right multiplication.  In that picture
   - the parabolic G_i (all generators but i) is the right-orbit of 0
     (perms.subgroup_mask),
   - right cosets G_i g are the orbits of left multiplication by G_i,
-  - left cosets w G_i are the orbits of right multiplication by G_i,
 
 which turns every subgroup computation below into orbit bookkeeping
 on the primitives of perms: values carried along bfs_tree, coset
 labels from orbit_labels, incidences and coset maps from label_pairs.
+Each coset geometry is labelled once, and Tits' condition reads those
+labels; isomorphisms of coset geometries are decided on the groups.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -39,13 +42,9 @@ def left_mult_gens(pg):
     return lam
 
 
-class CosetGeometryData:
-    """Bookkeeping linking a coset geometry back to its group."""
-
-    def __init__(self, pg, labels_by_type, offsets):
-        self.pg = pg
-        self.labels_by_type = labels_by_type
-        self.offsets = offsets
+# bookkeeping linking a coset geometry back to its group
+CosetGeometryData = namedtuple("CosetGeometryData",
+                               "pg labels_by_type offsets")
 
 
 def coset_geometry(pg):
@@ -60,12 +59,9 @@ def coset_geometry(pg):
     n = pg.degree
     rank = pg.ngens
     lam = left_mult_gens(pg)
-    labels_by_type = []
-    counts = []
-    for i in range(rank):
-        labs, m = orbit_labels([lam[x] for x in range(rank) if x != i], n)
-        labels_by_type.append(labs)
-        counts.append(m)
+    labels_by_type, counts = zip(*[
+        orbit_labels([lam[x] for x in range(rank) if x != i], n)
+        for i in range(rank)])
     offsets = np.concatenate([[0], np.cumsum(counts)])
     pairs = [np.empty((0, 2), dtype=np.int64)]
     for i in range(rank):
@@ -79,40 +75,38 @@ def coset_geometry(pg):
     return g
 
 
-def tits_condition(pg):
-    """Flag-transitivity of the coset geometry of a C-group.
+def tits_condition(g):
+    """Flag-transitivity of the coset geometry g of a C-group.
 
     Tits' coset-product condition (Buekenhout-Cohen, Diagram Geometry,
-    2013, Thm 1.8.10): for every type set J and every i not in J,
-    (cap_{j in J} G_j) G_i = cap_{j in J} (G_j G_i).  With the
-    intersection property the left intersection is <rho_k : k not in
-    J>.  A product A G_i is the union of the left cosets a G_i, which
-    are the orbits of right multiplication by G_i, so it is the mask
-    of the points whose orbit label occurs in A.  (Inverting both sides
-    gives the same condition for the right cosets of coset_geometry.)
-    The condition holds trivially for |J| <= 1.
+    2013, Thm 1.8.10), in its form for right cosets (the inverse of the
+    form for left cosets): for every type set J and every i not in J,
+    G_i (cap_{j in J} G_j) = cap_{j in J} (G_i G_j).  With the
+    intersection property the left intersection is <rho_k : k not in J>.
+    A product G_i A is the union of the right cosets G_i a, so it is the
+    mask of the points whose type-i label in g occurs in A.  The
+    condition holds trivially for |J| <= 1.
     """
-    require_regular(pg)
-    r = pg.ngens
+    data = g.coset_data
+    r = g.rank
     full = (1 << r) - 1
-    masks = subgroup_masks(pg)
-    for i in range(r):
-        labs, nlabs = orbit_labels([pg.gens[k] for k in range(r) if k != i],
-                                   pg.degree)
+    masks = subgroup_masks(data.pg)
+    for i, labs in enumerate(data.labels_by_type):
+        nlabs = int(data.offsets[i + 1] - data.offsets[i])
 
-        def times_gi(mask):
+        def gi_times(mask):
             hit = np.zeros(nlabs, dtype=bool)
             hit[labs[mask]] = True
             return hit[labs]
 
-        prods = {j: times_gi(masks[full & ~(1 << j)])
+        prods = {j: gi_times(masks[full & ~(1 << j)])
                  for j in range(r) if j != i}
         for J in range(1 << r):
             js = [j for j in range(r) if J >> j & 1]
             if J >> i & 1 or len(js) < 2:
                 continue
             meet = np.logical_and.reduce([prods[j] for j in js])
-            if not np.array_equal(times_gi(masks[full & ~J]), meet):
+            if not np.array_equal(gi_times(masks[full & ~J]), meet):
                 return False
     return True
 
@@ -186,22 +180,23 @@ def halving_group(pg, leaf):
     return PermGroup(len(pts), restricted, regular=True, order=len(pts))
 
 
-def induced_geometry_map(ga, gb, gen_map, type_map):
-    """Geometry isomorphism induced by a generator correspondence.
+def generator_isomorphism(pga, pgb, gen_map):
+    """The isomorphism of regular PermGroups A -> B sending generator x
+    to gen_map[x], as the image of each point of A, or None.
 
-    ga, gb are coset geometries of regular PermGroups A and B.  The
-    correspondence sends generator x of A to generator gen_map[x] of B
-    and type i to type_map[i].  The map phi(p.x) = phi(p).gen_map[x]
-    fixing the identity is carried along A's breadth-first tree; it is
-    the group isomorphism A -> B when it is a bijection that commutes
-    with every generator.  The element bijection it induces is then
-    checked with geometry.preserves_incidence.  Returns the element
-    map (list) or None when any check fails.
+    phi(p.x) = phi(p).gen_map[x], phi(0) = 0, is carried along A's
+    breadth-first tree; it is returned when gen_map is a permutation pi
+    and phi is a bijection that commutes with every generator.  Such a
+    phi maps G_i = <rho_x : x != i> onto G'_pi(i), so G_i w ->
+    G'_pi(i) phi(w) is a type-preserving bijection of the cosets that
+    keeps non-empty intersections (w in G_i a and G_j b goes to phi(w)
+    in both images), and so does its inverse, through phi^-1.  So the
+    verdict on the coset geometries is the verdict on the groups.
     """
-    da = ga.coset_data
-    db = gb.coset_data
-    pga, pgb = da.pg, db.pg
-    if pga.degree != pgb.degree:
+    require_regular(pga)
+    require_regular(pgb)
+    if pga.degree != pgb.degree or pga.ngens != pgb.ngens or \
+            sorted(gen_map) != list(range(pga.ngens)):
         return None
     n = pga.degree
     images = [pgb.gens[gen_map[x]] for x in range(pga.ngens)]
@@ -213,8 +208,27 @@ def induced_geometry_map(ga, gb, gen_map, type_map):
     if np.any(np.bincount(phi, minlength=n) != 1) or not all(
             np.array_equal(phi[g], h[phi]) for g, h in zip(pga.gens, images)):
         return None
+    return phi
+
+
+def induced_geometry_map(ga, gb, gen_map, type_map):
+    """Geometry isomorphism induced by a generator correspondence, the
+    geometry-level oracle for generator_isomorphism (kept for the
+    tests and the benchmark's envelope workload).
+
+    ga, gb are coset geometries; generator x goes to gen_map[x] and
+    type i to type_map[i].  The element bijection that
+    generator_isomorphism's phi induces on the coset labels is checked
+    with geometry.preserves_incidence.  Returns the element map (list),
+    or None when any check fails.
+    """
+    da = ga.coset_data
+    db = gb.coset_data
+    phi = generator_isomorphism(da.pg, db.pg, gen_map)
+    if phi is None:
+        return None
     emap = np.full(ga.nelements, -1, dtype=np.int64)
-    for i in range(pga.ngens):
+    for i in range(ga.rank):
         ti = type_map[i]
         a, b = label_pairs(da.labels_by_type[i], db.labels_by_type[ti][phi])
         # an A-coset meeting two B-cosets has no single image

@@ -170,11 +170,6 @@ def subgroup_points(pg, subset):
     return np.flatnonzero(subgroup_mask(pg, subset))
 
 
-def subgroup_order(pg, subset):
-    """Order of <gens[i] : i in subset> in a regular PermGroup."""
-    return len(subgroup_points(pg, subset))
-
-
 def coxeter_matrix(pg):
     """p[i][j] = order of gens[i]*gens[j]; diagonal 1."""
     n = pg.ngens

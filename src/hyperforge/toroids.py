@@ -255,25 +255,26 @@ def matrix_shape(m):
                                 for j in range(i + 1, rank) if m[i][j] > 2})
 
 
-def _certify(pg, context):
-    """Certify that the coset geometry of the regular group pg is a
+def _certify(g, context):
+    """Certify that the coset geometry g of a regular group pg is a
     thin, residually connected, flag-transitive regular hypertope.
 
     pg is a C-group when its generators are involutions and it has the
-    intersection property; Tits' coset-product condition then decides
-    flag-transitivity (engine.tits_condition), and the coset geometry
-    of a C-group that is flag-transitive is a regular hypertope
-    (Fernandes-Leemans-Weiss, "Highly symmetric hypertopes", 2016,
-    Thm 4.6).  Raises PropertyViolation naming the step that fails.
+    intersection property; Tits' condition on the coset labels of g
+    then decides flag-transitivity (engine.tits_condition), and the
+    coset geometry of a C-group that is flag-transitive is a regular
+    hypertope (Fernandes-Leemans-Weiss, "Highly symmetric hypertopes",
+    2016, Thm 4.6).  Raises PropertyViolation naming the step that fails.
     """
     start = time.perf_counter()
+    pg = g.coset_data.pg
     if not involutions(pg):
         raise PropertyViolation("%s: generators are not involutions"
                                 % context)
     if not intersection_property(pg):
         raise PropertyViolation("%s: intersection property fails"
                                 % context)
-    if not engine.tits_condition(pg):
+    if not engine.tits_condition(g):
         raise PropertyViolation("%s: not flag-transitive" % context)
     log.debug("%s: C-group + Tits, order %d, %.3f s", context, pg.order(),
               time.perf_counter() - start)
@@ -296,7 +297,7 @@ def build_cubic_toroid(p, max_cosets=None):
     pg = perm_image(todd_coxeter(cubic_toroid_presentation(p),
                                  max_cosets=max_cosets))
     g = engine.coset_geometry(pg)
-    _certify(pg, "toroid %r" % (p,))
+    _certify(g, "toroid %r" % (p,))
     if coxeter_matrix(pg) != linear_matrix(p.n):
         raise PropertyViolation("toroid %r: diagram is not linear"
                                 " 4-3-...-3-4" % (p,))
@@ -330,32 +331,26 @@ def _parabolic_index(pres, hg, max_cosets):
 def _full_agreement(pres, hg, context, diffs, max_cosets=None):
     """Presentation group vs directly computed subgroup, by enumerating
     the presentation whole: order, Coxeter matrix, coset geometry
-    isomorphism."""
-    t = todd_coxeter(pres, max_cosets=max_cosets)
-    qg = perm_image(t)
+    isomorphism (on the groups: engine.generator_isomorphism)."""
+    qg = perm_image(todd_coxeter(pres, max_cosets=max_cosets))
     entry = {"order_presentation": qg.order(), "order_subgroup": hg.order()}
     if qg.order() != hg.order():
         diffs.append((context, "order", qg.order(), hg.order()))
-        return entry, None
-    cm_p = coxeter_matrix(qg)
-    cm_h = coxeter_matrix(hg)
+        return entry
+    cm_p, cm_h = coxeter_matrix(qg), coxeter_matrix(hg)
     entry["coxeter_matrix_equal"] = cm_p == cm_h
     if cm_p != cm_h:
         diffs.append((context, "coxeter_matrix", cm_p, cm_h))
-    gq = engine.coset_geometry(qg)
-    gh = engine.coset_geometry(hg)
-    ident = list(range(qg.ngens))
-    emap = engine.induced_geometry_map(gq, gh, ident, ident)
-    entry["coset_geometry_isomorphic"] = emap is not None
-    if emap is None:
+    entry["coset_geometry_isomorphic"] = engine.generator_isomorphism(
+        qg, hg, list(range(qg.ngens))) is not None
+    if not entry["coset_geometry_isomorphic"]:
         diffs.append((context, "coset_geometry_iso", True, False))
-    return entry, gh
+    return entry
 
 
 def _agreement(pres, hg, context, diffs, max_cosets=None):
     """Presentation group G vs directly computed subgroup hg: order,
-    Coxeter matrix, coset geometry isomorphism.  Returns (entry, coset
-    geometry of hg, or None when the orders differ).
+    Coxeter matrix, coset geometry isomorphism.  Returns the entry.
 
     First a proof that x_i -> hg.gens[i] is an isomorphism G -> hg,
     which makes every field agree:
@@ -383,14 +378,13 @@ def _agreement(pres, hg, context, diffs, max_cosets=None):
         entry = {"order_presentation": order, "order_subgroup": order,
                  "coxeter_matrix_equal": True,
                  "coset_geometry_isomorphic": True}
-        gh = engine.coset_geometry(hg)
     else:
         how = "full enumeration"
-        entry, gh = _full_agreement(pres, hg, context, diffs, max_cosets)
+        entry = _full_agreement(pres, hg, context, diffs, max_cosets)
     log.debug("%s: presentation agreement by %s, index %s, |P_K| %s, "
               "order %d, %.3f s", context, how, index, order_k, hg.order(),
               time.perf_counter() - start)
-    return entry, gh
+    return entry
 
 
 def _halving_stage(p, name, group, leaf, order, presentation, expected,
@@ -401,21 +395,21 @@ def _halving_stage(p, name, group, leaf, order, presentation, expected,
     certificate and the diagram fields of its coset geometry.
 
     Returns (halving group, coset geometry or None, stage fields); the
-    geometry is None when the presented order disagrees."""
+    geometry is built here, unless the presented order disagrees."""
     h = engine.halving_group(group, leaf)
     stage = {"order": h.order()}
     if h.order() != order:
         diffs.append((name, "order", order, h.order()))
     try:
-        entry, gh = _agreement(presentation(p), h, name, diffs,
-                               max_cosets=max_cosets)
-        stage.update(entry)
+        stage.update(_agreement(presentation(p), h, name, diffs,
+                                max_cosets=max_cosets))
     except UnsupportedCase as exc:
         stage["presentation"] = "unsupported: %s" % exc
-        gh = engine.coset_geometry(h)
-    if gh is not None:
-        _certify(h, "%s %r" % (name.replace("_", " "), p))
-        stage.update(_diagram_fields(gh, expected))
+    if stage.get("order_presentation", h.order()) != h.order():
+        return h, None, stage
+    gh = engine.coset_geometry(h)
+    _certify(gh, "%s %r" % (name.replace("_", " "), p))
+    stage.update(_diagram_fields(gh, expected))
     return h, gh, stage
 
 
@@ -453,7 +447,7 @@ def verify_family(p, depth=0, max_cosets=None):
                       not stage["degenerate_predicted"], stage["b1"]))
     # self-duality under reversing the generator order
     rev = [n - t for t in range(n + 1)]
-    stage["self_dual"] = engine.induced_geometry_map(g, g, rev, rev) \
+    stage["self_dual"] = engine.generator_isomorphism(pg, pg, rev) \
         is not None
     if not stage["self_dual"]:
         diffs.append(("toroid", "self_dual", True, False))
@@ -486,10 +480,8 @@ def verify_family(p, depth=0, max_cosets=None):
                                      max_cosets)
         stage["bp_branch"] = bp_branch
         # halving at the other leaf gives the dual of halving at (0,1)
-        kg = engine.halving_group(pg, (n, n - 1))
-        gk = engine.coset_geometry(kg)
-        stage["dual_of_first_halving"] = engine.induced_geometry_map(
-            gh, gk, rev, rev) is not None
+        stage["dual_of_first_halving"] = engine.generator_isomorphism(
+            hg, engine.halving_group(pg, (n, n - 1)), rev) is not None
         if not stage["dual_of_first_halving"]:
             diffs.append(("double_halved", "dual_of_first_halving",
                           True, False))

@@ -75,7 +75,7 @@ def envelope_records(lines):
         rec["h_order"] = hg.order()
         # presented group vs directly computed subgroup
         rec["halved_diffs"] = []
-        rec["halved"], _ = toroids._agreement(
+        rec["halved"] = toroids._agreement(
             toroids.halved_presentation(p), hg, "halved",
             rec["halved_diffs"])
         rec["halved_log"] = lines[-1]
@@ -83,7 +83,7 @@ def envelope_records(lines):
             h2 = engine.halving_group(hg, (n, n - 1))
             rec["h2_order"] = h2.order()
             rec["double_diffs"] = []
-            rec["double"], _ = toroids._agreement(
+            rec["double"] = toroids._agreement(
                 toroids.double_halved_presentation(p), h2, "double_halved",
                 rec["double_diffs"])
             rec["double_log"] = lines[-1]

@@ -1,7 +1,8 @@
 """The group-side hypertope certificate against the exhaustive scans.
 
 toroids._certify decides thin + residually connected + flag-transitive
-from the group alone (C-group plus Tits' condition), and
+on the group side (C-group plus Tits' condition, read on the coset
+geometry's labels), and
 engine.coset_diagram reads the diagram from one residue per type
 pair.  Wherever the flag scans of
 geometry.py and iso.py also run, the two must agree.  On the same
@@ -51,9 +52,9 @@ def stage_groups():
     return out
 
 
-def _certified(pg):
+def _certified(g):
     try:
-        toroids._certify(pg, "stage")
+        toroids._certify(g, "stage")
     except errors.PropertyViolation:
         return False
     return True
@@ -78,7 +79,7 @@ def test_certificate_agrees_with_flag_scans(stage_groups, cell):
         g = engine.coset_geometry(pg)
         scanned = _scanned(g)
         assert scanned, (cell, stage)
-        assert _certified(pg) == scanned, (cell, stage)
+        assert _certified(g) == scanned, (cell, stage)
         got = engine.coset_diagram(g)
         want = geo.buekenhout_diagram(g)
         assert got.shape() == want.shape(), (cell, stage)
@@ -107,7 +108,7 @@ def test_degenerate_leaf_fails_the_intersection_property():
     assert not _scanned(g)
     with pytest.raises(errors.PropertyViolation,
                        match="intersection property fails"):
-        toroids._certify(hg, "degenerate halving")
+        toroids._certify(g, "degenerate halving")
 
 
 def test_c_group_that_is_not_flag_transitive():
@@ -119,11 +120,11 @@ def test_c_group_that_is_not_flag_transitive():
     g = engine.coset_geometry(pg)
     assert intersection_property(pg) is True
     assert closure_intersection_property(pg) is True
-    assert engine.tits_condition(pg) is False
+    assert engine.tits_condition(g) is False
     assert iso.is_flag_transitive(g, engine.natural_action(g)) is False
     with pytest.raises(errors.PropertyViolation,
                        match="not flag-transitive"):
-        toroids._certify(pg, "triangle quotient")
+        toroids._certify(g, "triangle quotient")
 
 
 def test_chamber_transitive_non_geometry():
@@ -138,7 +139,7 @@ def test_chamber_transitive_non_geometry():
     assert not _scanned(g)
     with pytest.raises(errors.PropertyViolation,
                        match="not flag-transitive"):
-        toroids._certify(pg, "star quotient")
+        toroids._certify(g, "star quotient")
 
 
 def test_tits_condition_on_triangle_quotients():
@@ -157,7 +158,7 @@ def test_tits_condition_on_triangle_quotients():
             if not (involutions(pg) and intersection_property(pg)):
                 continue
             g = engine.coset_geometry(pg)
-            tits = engine.tits_condition(pg)
+            tits = engine.tits_condition(g)
             assert tits == _scanned(g), (m, e)
             if tits:
                 assert engine.coset_diagram(g).shape() \
@@ -172,10 +173,11 @@ def test_generators_must_be_involutions():
     r = np.array([1, 2, 0])
     pg = PermGroup(3, [r], regular=True)
     with pytest.raises(errors.PropertyViolation, match="involutions"):
-        toroids._certify(pg, "cyclic")
+        toroids._certify(engine.coset_geometry(pg), "cyclic")
 
 
 def test_tits_condition_needs_a_regular_group():
+    # the geometry that Tits' condition reads needs the regular group
     pg = PermGroup(3, [np.array([1, 0, 2]), np.array([0, 2, 1])])
     with pytest.raises(errors.IncompleteTable):
-        engine.tits_condition(pg)
+        engine.tits_condition(engine.coset_geometry(pg))

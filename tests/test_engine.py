@@ -127,10 +127,16 @@ def test_halving_group_rejects_a_bad_leaf(toroid_322_group, leaf):
         engine.halving_group(toroid_322_group, leaf)
 
 
+# each induced_geometry_map case also asks generator_isomorphism, on
+# the two groups, for the same verdict
+
+
 def test_induced_geometry_map_identity(cube_group):
     g = engine.coset_geometry(cube_group)
     ident = [0, 1, 2]
     assert engine.induced_geometry_map(g, g, ident, ident) is not None
+    assert engine.generator_isomorphism(cube_group, cube_group, ident) \
+        is not None
 
 
 def test_induced_geometry_map_self_duality(simplex_group, cube_group):
@@ -138,8 +144,11 @@ def test_induced_geometry_map_self_duality(simplex_group, cube_group):
     rev = [2, 1, 0]
     # the tetrahedron is self-dual, the cube is not
     assert engine.induced_geometry_map(gt, gt, rev, rev) is not None
+    assert engine.generator_isomorphism(simplex_group, simplex_group, rev) \
+        is not None
     gc = engine.coset_geometry(cube_group)
     assert engine.induced_geometry_map(gc, gc, rev, rev) is None
+    assert engine.generator_isomorphism(cube_group, cube_group, rev) is None
 
 
 def test_induced_geometry_map_breaks_a_relation(simplex_group):
@@ -148,12 +157,16 @@ def test_induced_geometry_map_breaks_a_relation(simplex_group):
     g = engine.coset_geometry(simplex_group)
     swap = [1, 0, 2]
     assert engine.induced_geometry_map(g, g, swap, swap) is None
+    assert engine.generator_isomorphism(simplex_group, simplex_group,
+                                        swap) is None
 
 
 def test_induced_geometry_map_different_orders(simplex_group, cube_group):
     ga = engine.coset_geometry(simplex_group)
     gb = engine.coset_geometry(cube_group)
     assert engine.induced_geometry_map(ga, gb, [0, 1, 2], [0, 1, 2]) is None
+    assert engine.generator_isomorphism(simplex_group, cube_group,
+                                        [0, 1, 2]) is None
 
 
 def test_induced_geometry_map_reads_no_adjacency_view(simplex_group):
@@ -161,4 +174,6 @@ def test_induced_geometry_map_reads_no_adjacency_view(simplex_group):
     gb = engine.coset_geometry(regular_group(A3))
     rev = [2, 1, 0]
     assert engine.induced_geometry_map(ga, gb, rev, rev) is not None
+    assert engine.generator_isomorphism(ga.coset_data.pg, gb.coset_data.pg,
+                                        rev) is not None
     assert "adj" not in vars(ga) and "adj" not in vars(gb)

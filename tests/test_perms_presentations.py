@@ -11,7 +11,7 @@ import hyperforge
 from hyperforge import errors
 from hyperforge import presentations as pres
 from hyperforge.perms import (
-    perm_mul, perm_order, orbit, subgroup_order, subgroup_points,
+    perm_mul, perm_order, orbit, subgroup_points,
     coxeter_matrix, intersection_property, PermGroup, bfs_tree, label_pairs,
     orbit_labels,
 )
@@ -234,10 +234,10 @@ def test_regular_group_orders():
     pg = a3_group()
     assert pg.regular
     assert pg.order() == 24
-    assert subgroup_order(pg, [0, 1]) == 6
-    assert subgroup_order(pg, [0, 2]) == 4
-    assert subgroup_order(pg, [1]) == 2
-    assert subgroup_order(pg, []) == 1
+    assert len(subgroup_points(pg, [0, 1])) == 6
+    assert len(subgroup_points(pg, [0, 2])) == 4
+    assert len(subgroup_points(pg, [1])) == 2
+    assert len(subgroup_points(pg, [])) == 1
 
 
 def test_coxeter_matrix_recovered():
@@ -265,7 +265,7 @@ def test_nonregular_group_order():
     with pytest.raises(errors.IncompleteTable):
         pg.order()
     with pytest.raises(errors.IncompleteTable):
-        subgroup_order(pg, [0])
+        subgroup_points(pg, [0])
     with pytest.raises(errors.IncompleteTable):
         intersection_property(pg)
     assert PermGroup(3, pg.gens, order=6).order() == 6

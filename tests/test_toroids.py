@@ -172,6 +172,39 @@ def test_verify_family_rank6(compiled_kernel, caplog):
            "8ada65d6dd2610c676e7e0ef930d4d69"
 
 
+def test_verify_family_513_depth2(compiled_kernel, caplog):
+    # the smallest n = 5 cell with a double halving, 933,120 elements:
+    # pins the n >= 5 double-halving words and the closure relators of
+    # a non-bipartite halving at n = 5
+    caplog.set_level(logging.DEBUG, logger="hyperforge")
+    report = toroids.verify_family(toroids.ToroidParams(5, 1, 3), depth=2)
+    halved, double = agreement_lines(caplog)
+    assert halved.startswith("halved: presentation agreement by parabolic "
+                             "index, ")
+    assert double.startswith("double_halved: presentation agreement by "
+                             "parabolic index, ")
+    assert report["ok"]
+    text = json.dumps(report, sort_keys=True, default=str)
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == "40144c8d522075b63b7c5cf8912c7edf" \
+           "c2558a63fc0c968d9e7e84a2f2be0d84"
+
+
+def test_one_labelling_per_stage(monkeypatch):
+    # depth 2 builds one coset geometry per stage, labels each of its
+    # four types once, and labels nothing again for Tits' condition
+    calls = {}
+    for name in ("coset_geometry", "orbit_labels"):
+        calls[name] = 0
+
+        def counted(*args, _name=name, _fn=getattr(engine, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(engine, name, counted)
+    toroids.verify_family(toroids.ToroidParams(3, 1, 3), depth=2)
+    assert calls == {"coset_geometry": 3, "orbit_labels": 12}
+
+
 FAMILY_CELLS = [(3, 1, 3), (3, 1, 4), (3, 2, 2), (3, 2, 3), (3, 2, 4),
                 (3, 3, 2), (3, 3, 3), (3, 3, 4), (4, 2, 2)]
 
@@ -190,6 +223,45 @@ def halvings(cell):
     return out
 
 
+def isomorphism_verdicts(ga, gb, gen_map):
+    """(generator_isomorphism on the groups of two coset geometries,
+    induced_geometry_map on the geometries), each as found or not."""
+    pga, pgb = ga.coset_data.pg, gb.coset_data.pg
+    return (engine.generator_isomorphism(pga, pgb, gen_map) is not None,
+            engine.induced_geometry_map(ga, gb, gen_map, gen_map)
+            is not None)
+
+
+@pytest.mark.parametrize("cell", FAMILY_CELLS, ids=lambda c: "%d%d%d" % c)
+def test_generator_isomorphism_matches_the_geometry_map(cell):
+    # verify_family's three isomorphism questions, asked of the groups
+    # and of their coset geometries, then three negative controls
+    p = toroids.ToroidParams(*cell)
+    n = p.n
+    rev = list(range(n, -1, -1))
+    ident = list(range(n + 1))
+    pg = perm_image(todd_coxeter(toroids.cubic_toroid_presentation(p)))
+    hg = engine.halving_group(pg, (0, 1))
+    h2 = engine.halving_group(hg, (n, n - 1))
+    g, gh, gk, g2 = (engine.coset_geometry(x) for x in (
+        pg, hg, engine.halving_group(pg, (n, n - 1)), h2))
+    assert isomorphism_verdicts(g, g, rev) == (True, True)
+    pairs = [(toroids.halved_presentation, gh)]
+    if cell[1:] != (2, 2):
+        pairs.append((toroids.double_halved_presentation, g2))
+    for presentation, gx in pairs:
+        gq = engine.coset_geometry(perm_image(todd_coxeter(presentation(p))))
+        assert isomorphism_verdicts(gq, gx, ident) == (True, True)
+    assert isomorphism_verdicts(gh, gk, rev) == (True, True)
+    # the far leaf's halving without the type reversal
+    assert isomorphism_verdicts(gh, gk, ident) == (False, False)
+    # a generator map that is not a permutation
+    assert isomorphism_verdicts(g, g, [1] + ident[1:]) == (False, False)
+    # groups of different degree: the second halving always halves
+    assert h2.degree < pg.degree
+    assert isomorphism_verdicts(g, g2, ident) == (False, False)
+
+
 def agreement_lines(caplog):
     return [r.getMessage() for r in caplog.records
             if "presentation agreement" in r.getMessage()]
@@ -201,14 +273,13 @@ def test_index_certificate_matches_the_full_comparison(cell, caplog):
     for name, pres, hg in halvings(cell):
         caplog.clear()
         diffs = []
-        entry, gh = toroids._agreement(pres, hg, name, diffs)
+        entry = toroids._agreement(pres, hg, name, diffs)
         line, = agreement_lines(caplog)
         assert " by parabolic index, " in line
         full_diffs = []
-        full, full_gh = toroids._full_agreement(pres, hg, name, full_diffs)
+        full = toroids._full_agreement(pres, hg, name, full_diffs)
         assert entry == full and diffs == full_diffs == []
         assert list(entry) == list(full)
-        assert gh == full_gh
 
 
 def test_agreement_certificate_is_logged(caplog):
@@ -227,13 +298,12 @@ def assert_falls_back(pres, hg, caplog, want_diffs):
     caplog.set_level(logging.DEBUG, logger="hyperforge")
     caplog.clear()
     diffs = []
-    entry, gh = toroids._agreement(pres, hg, "halved", diffs)
+    entry = toroids._agreement(pres, hg, "halved", diffs)
     line, = agreement_lines(caplog)
     assert " by full enumeration, " in line
     full_diffs = []
-    full, full_gh = toroids._full_agreement(pres, hg, "halved", full_diffs)
+    full = toroids._full_agreement(pres, hg, "halved", full_diffs)
     assert entry == full and diffs == full_diffs
-    assert (gh is None) == (full_gh is None)
     assert diffs == want_diffs
     return line
 
