@@ -1,8 +1,10 @@
 /* Compiled HLT coset enumeration kernel with lookahead.
  *
  * Makes the same sequence of definitions, deductions, merges, lookaheads
- * and compactions as _tcpure.py, so the two return bit-identical tables;
+ * and compactions as _tcpure.py, so the two return byte-identical tables;
  * the kernel-agreement tests in tests/test_toddcox.py check this.
+ * The finished table is handed over as one bytearray of native int32,
+ * row-major: a single copy of st.table, with no Python int per entry.
  * It skips the same relator scans, those that cannot change the table:
  * (1) once relator w traces closed from coset c, every rotation of w,
  * read forwards or backwards (the generators are involutions), traces
@@ -24,6 +26,8 @@
 #include <Python.h>
 
 #define UNDEF (-1)
+/* the table is handed over as int32; toddcox reads it so */
+_Static_assert(sizeof(int) == 4, "coset ids must be 32-bit ints");
 /* lookahead once the table holds this many more rows than live cosets */
 #define LOOKAHEAD_SLACK (1L << 16)
 
@@ -484,7 +488,7 @@ static PyObject *enumerate_cosets(PyObject *self, PyObject *args)
     int ngens, ok = 1;
     long max_cosets, c, next_la;
     Py_ssize_t r;
-    PyObject *relators, *subgens, *out = NULL, *v;
+    PyObject *relators, *subgens, *out = NULL;
     State st = {.cap = 1024, .nrows = 1, .nlive = 1};
     Words rels = {0}, subs = {0};
     Cycles cy = {0};
@@ -549,15 +553,10 @@ static PyObject *enumerate_cosets(PyObject *self, PyObject *args)
         PyErr_NoMemory();
     else if (!ok)  /* max_cosets exceeded */
         out = Py_NewRef(Py_None);
-    else if ((out = PyList_New(st.nrows * ngens)) != NULL) {
-        for (c = 0; c < st.nrows * ngens; c++) {
-            if ((v = PyLong_FromLong(st.table[c])) == NULL) {
-                Py_CLEAR(out);
-                break;
-            }
-            PyList_SET_ITEM(out, c, v);
-        }
-    }
+    else
+        out = PyByteArray_FromStringAndSize(
+            (const char *)st.table,
+            (Py_ssize_t)(st.nrows * ngens * sizeof(int)));
 done:
     PyMem_Free(rels.start);
     PyMem_Free(rels.letters);
@@ -578,9 +577,9 @@ static PyMethodDef methods[] = {
     {"enumerate_cosets", enumerate_cosets, METH_VARARGS,
      "enumerate_cosets(ngens, relators, subgens, max_cosets)\n\n"
      "Run HLT over the given relators and subgroup generator words.\n"
-     "Returns a flat row-major table (live cosets only, renumbered in\n"
-     "first-definition order) or None when max_cosets live cosets are\n"
-     "exceeded."},
+     "Returns the table as a bytearray of native int32, row-major (live\n"
+     "cosets only, renumbered in first-definition order), or None when\n"
+     "max_cosets live cosets are exceeded."},
     {NULL, NULL, 0, NULL}
 };
 

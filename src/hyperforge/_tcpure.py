@@ -24,14 +24,19 @@ only fill undefined entries, coincidence processing leaves every live
 row's entries defined and pointing at live rows, dead rows are never
 scanned, and compact() renumbers the marks together with the rows.
 
+The finished table is handed over as one bytearray of native int32,
+row-major, filled one column at a time from the lists.
+
 The compiled kernel, the C extension _tccore.c, makes the same sequence
 of definitions, deductions, merges, lookaheads and compactions, so the
-two return bit-identical tables; tests/test_toddcox.py checks this.
+two return byte-identical tables; tests/test_toddcox.py checks this.
 """
 
 from bisect import bisect_left
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
+
+import numpy as np
 
 UNDEF = -1
 
@@ -270,9 +275,9 @@ class _State:
 def enumerate_cosets(ngens, relators, subgens, max_cosets):
     """Run HLT over the given relators and subgroup generator words.
 
-    Returns a flat row-major table (live cosets only, renumbered in
-    first-definition order) or None when max_cosets live cosets are
-    exceeded.
+    Returns the table as a bytearray of native int32, row-major (live
+    cosets only, renumbered in first-definition order), or None when
+    max_cosets live cosets are exceeded.
     """
     st = _State(ngens, relators, max_cosets)
     cols = st.cols
@@ -316,4 +321,8 @@ def enumerate_cosets(ngens, relators, subgens, max_cosets):
         c += 1
 
     st.compact(c)
-    return list(chain.from_iterable(zip(*cols)))
+    buf = bytearray(4 * len(rep) * ngens)
+    table = np.frombuffer(buf, np.int32).reshape(len(rep), ngens)
+    for x, col in enumerate(cols):
+        table[:, x] = col
+    return buf

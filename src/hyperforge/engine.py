@@ -75,7 +75,7 @@ def coset_geometry(pg):
     return g
 
 
-def tits_condition(g):
+def tits_condition(g, *, masks=None):
     """Flag-transitivity of the coset geometry g of a C-group.
 
     Tits' coset-product condition (Buekenhout-Cohen, Diagram Geometry,
@@ -85,12 +85,15 @@ def tits_condition(g):
     intersection property the left intersection is <rho_k : k not in J>.
     A product G_i A is the union of the right cosets G_i a, so it is the
     mask of the points whose type-i label in g occurs in A.  The
-    condition holds trivially for |J| <= 1.
+    condition holds trivially for |J| <= 1.  masks is
+    perms.subgroup_masks of the group, built here unless the caller has
+    it.
     """
     data = g.coset_data
     r = g.rank
     full = (1 << r) - 1
-    masks = subgroup_masks(data.pg)
+    if masks is None:
+        masks = subgroup_masks(data.pg)
     for i, labs in enumerate(data.labels_by_type):
         nlabs = int(data.offsets[i + 1] - data.offsets[i])
 

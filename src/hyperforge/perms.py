@@ -189,10 +189,12 @@ def involutions(pg):
                for g in pg.gens)
 
 
-def intersection_property(pg):
-    """<I> cap <J> = <I cap J> for all generator subsets I, J."""
+def intersection_property(pg, *, masks=None):
+    """<I> cap <J> = <I cap J> for all generator subsets I, J.  masks
+    is subgroup_masks(pg), built here unless the caller has it."""
     n = pg.ngens
-    masks = subgroup_masks(pg)
+    if masks is None:
+        masks = subgroup_masks(pg)
     for a in range(1 << n):
         for b in range(a + 1, 1 << n):
             # nested subsets meet in the smaller one

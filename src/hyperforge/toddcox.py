@@ -11,8 +11,10 @@ coset and relator), and a lookahead starts at the HLT scan pointer,
 below which every relator traces closed.  The skips are no-ops since a
 closed trace stays closed: deductions only fill undefined entries and
 coincidence processing leaves every live row's entries defined.
-Completed tables are verified by replaying every relator from every
-coset and every subgroup word from coset 0.
+Each kernel hands its finished table over as one bytearray of native
+int32, row-major; CosetTable.table is an int32 view of that buffer,
+with no copy.  Completed tables are verified by replaying every relator
+from every coset and every subgroup word from coset 0.
 """
 
 import logging
@@ -52,11 +54,14 @@ def backend_name():
 
 
 class CosetTable:
-    """Complete table: table[c][x] = coset c.gen_x; row 0 = subgroup."""
+    """Complete table: table[c][x] = coset c.gen_x; row 0 = subgroup.
+
+    table is an (ncosets, ngens) int32 array; from todd_coxeter it is a
+    view of the kernel's buffer."""
 
     def __init__(self, ngens, table, subgens):
         self.ngens = ngens
-        self.table = np.asarray(table, dtype=np.int64)
+        self.table = np.asarray(table, dtype=np.int32)
         self.subgens = tuple(tuple(w) for w in subgens)
 
     @property
@@ -72,7 +77,7 @@ class CosetTable:
 
 def _verify(t, relators):
     idx = np.arange(t.ncosets)
-    cols = [np.ascontiguousarray(t.table[:, x]) for x in range(t.ngens)]
+    cols = [t.table[:, x] for x in range(t.ngens)]
     for word in relators:
         cur = idx
         for x in word:
@@ -114,25 +119,26 @@ def todd_coxeter(p, subgens=(), max_cosets=None, backend=None):
     else:
         raise InvalidParams("unknown backend %r" % (backend,))
     t0 = time.perf_counter()
-    flat = kernel.enumerate_cosets(p.ngens, list(p.relators), subgens,
-                                   max_cosets)
+    buf = kernel.enumerate_cosets(p.ngens, list(p.relators), subgens,
+                                  max_cosets)
+    table = None if buf is None else \
+        np.frombuffer(buf, np.int32).reshape(-1, p.ngens)
     logging.getLogger("hyperforge").debug(
         "enumeration on the %s kernel: %d generators, %d relators, "
         "%s cosets, %.3f s", backend, p.ngens, len(p.relators),
-        ">%d" % max_cosets if flat is None else len(flat) // p.ngens,
+        ">%d" % max_cosets if table is None else len(table),
         time.perf_counter() - t0)
-    if flat is None:
+    if table is None:
         raise Overflow(max_cosets)
-    table = np.asarray(flat, dtype=np.int64).reshape(-1, p.ngens)
-    del flat  # free the list before _verify copies the columns
     t = CosetTable(p.ngens, table, subgens)
     _verify(t, p.relators)
     return t
 
 
 def perm_image(t):
-    """Right action of the generators on cosets, as a PermGroup."""
-    gens = [t.table[:, x].copy() for x in range(t.ngens)]
+    """Right action of the generators on cosets, as a PermGroup; its
+    int64 generator arrays are the only copy of the table."""
+    gens = [t.table[:, x].astype(np.int64) for x in range(t.ngens)]
     regular = not t.subgens
     return PermGroup(t.ncosets, gens, regular=regular,
                      order=t.ncosets if regular else None)

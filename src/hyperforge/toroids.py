@@ -24,7 +24,8 @@ from .presentations import GroupPresentation, coxeter_presentation, \
     relator_parity_bipartite
 from .toddcox import todd_coxeter, perm_image
 from .geometry import diagram_shape
-from .perms import coxeter_matrix, intersection_property, involutions
+from .perms import coxeter_matrix, intersection_property, involutions, \
+    subgroup_masks
 from . import engine
 from . import constructions as cons
 
@@ -264,17 +265,19 @@ def _certify(g, context):
     then decides flag-transitivity (engine.tits_condition), and the
     coset geometry of a C-group that is flag-transitive is a regular
     hypertope (Fernandes-Leemans-Weiss, "Highly symmetric hypertopes",
-    2016, Thm 4.6).  Raises PropertyViolation naming the step that fails.
+    2016, Thm 4.6).  Both checks read one set of parabolic point masks,
+    built here.  Raises PropertyViolation naming the step that fails.
     """
     start = time.perf_counter()
     pg = g.coset_data.pg
     if not involutions(pg):
         raise PropertyViolation("%s: generators are not involutions"
                                 % context)
-    if not intersection_property(pg):
+    masks = subgroup_masks(pg)
+    if not intersection_property(pg, masks=masks):
         raise PropertyViolation("%s: intersection property fails"
                                 % context)
-    if not engine.tits_condition(g):
+    if not engine.tits_condition(g, masks=masks):
         raise PropertyViolation("%s: not flag-transitive" % context)
     log.debug("%s: C-group + Tits, order %d, %.3f s", context, pg.order(),
               time.perf_counter() - start)

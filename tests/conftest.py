@@ -171,13 +171,14 @@ TCCORE_C = (pathlib.Path(__file__).resolve().parents[1]
 @pytest.fixture(scope="session")
 def tccore_module(tmp_path_factory):
     """hyperforge._tccore compiled from _tccore.c with the interpreter's
-    C compiler into a temporary directory; skips when there is none."""
+    C compiler into a temporary directory, every warning an error; skips
+    when there is no compiler."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "")
     if not cc or shutil.which(cc[0]) is None:
         pytest.skip("no C compiler")
     out = (tmp_path_factory.mktemp("tccore")
            / ("_tccore" + sysconfig.get_config_var("EXT_SUFFIX")))
-    subprocess.run(cc + ["-shared", "-fPIC", "-O2",
+    subprocess.run(cc + ["-shared", "-fPIC", "-O2", "-Wall", "-Werror",
                          "-I", sysconfig.get_paths()["include"],
                          str(TCCORE_C), "-o", str(out)], check=True)
     spec = importlib.util.spec_from_file_location("hyperforge._tccore", out)

@@ -20,6 +20,7 @@ from hyperforge import engine
 from hyperforge import errors
 from hyperforge import geometry as geo
 from hyperforge import iso
+from hyperforge import perms
 from hyperforge import toroids
 from hyperforge.perms import PermGroup, intersection_property, involutions
 from hyperforge.presentations import coxeter_presentation
@@ -104,6 +105,7 @@ def test_degenerate_leaf_fails_the_intersection_property():
     hg = engine.halving_group(pg, (0, 1))
     g = engine.coset_geometry(hg)
     assert intersection_property(hg) is False
+    assert intersection_property(hg, masks=perms.subgroup_masks(hg)) is False
     assert closure_intersection_property(hg) is False
     assert not _scanned(g)
     with pytest.raises(errors.PropertyViolation,
@@ -118,9 +120,12 @@ def test_c_group_that_is_not_flag_transitive():
                                      extra=((0, 1, 2) * 2,)))
     assert pg.order() == 18
     g = engine.coset_geometry(pg)
+    masks = perms.subgroup_masks(pg)
     assert intersection_property(pg) is True
+    assert intersection_property(pg, masks=masks) is True
     assert closure_intersection_property(pg) is True
     assert engine.tits_condition(g) is False
+    assert engine.tits_condition(g, masks=masks) is False
     assert iso.is_flag_transitive(g, engine.natural_action(g)) is False
     with pytest.raises(errors.PropertyViolation,
                        match="not flag-transitive"):
@@ -181,3 +186,22 @@ def test_tits_condition_needs_a_regular_group():
     pg = PermGroup(3, [np.array([1, 0, 2]), np.array([0, 2, 1])])
     with pytest.raises(errors.IncompleteTable):
         engine.tits_condition(engine.coset_geometry(pg))
+
+
+def test_certificate_builds_the_masks_once(toroid_313, monkeypatch):
+    # intersection_property and tits_condition read the masks _certify
+    # built; each builds its own when called alone
+    calls = []
+    build = perms.subgroup_masks
+
+    def counted(pg):
+        calls.append(pg)
+        return build(pg)
+    for module in (perms, engine, toroids):
+        monkeypatch.setattr(module, "subgroup_masks", counted)
+    pg, g = toroid_313
+    toroids._certify(g, "toroid")
+    assert calls == [pg]
+    assert intersection_property(pg) and engine.tits_condition(g)
+    assert calls == [pg] * 3
+

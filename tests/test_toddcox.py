@@ -2,6 +2,7 @@ import hashlib
 import logging
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,10 +113,70 @@ def test_csv_shape():
     # double halving
     double_halved_presentation(ToroidParams(4, 1, 3)),
 ])
-def test_backends_agree(pres, compiled_kernel):
+def test_backends_agree(pres, compiled_kernel, monkeypatch):
+    pure_out = _recorded(monkeypatch, _tcpure)
+    compiled_out = _recorded(monkeypatch, compiled_kernel)
     tp = todd_coxeter(pres, backend="pure")
     tc = todd_coxeter(pres, backend="compiled")
     assert np.array_equal(tp.table, tc.table)
+    # the raw returns: one bytearray each, byte for byte equal
+    assert [type(b) for b in pure_out + compiled_out] == [bytearray] * 2
+    assert pure_out == compiled_out
+
+
+def _recorded(monkeypatch, kernel):
+    """The raw returns of kernel.enumerate_cosets from now on, in a
+    list that grows with each call."""
+    outs = []
+    run = kernel.enumerate_cosets
+
+    def recording(*args):
+        outs.append(run(*args))
+        return outs[-1]
+    monkeypatch.setattr(kernel, "enumerate_cosets", recording)
+    return outs
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_table_is_an_int32_view_of_the_kernel_buffer(backend, request,
+                                                     monkeypatch):
+    kernel = _tcpure
+    if backend == "compiled":
+        kernel = request.getfixturevalue("compiled_kernel")
+    outs = _recorded(monkeypatch, kernel)
+    t = todd_coxeter(B3, backend=backend)
+    (buf,) = outs
+    assert type(buf) is bytearray
+    assert t.table.dtype == np.int32 and t.table.shape == (48, 3)
+    assert np.shares_memory(t.table, np.frombuffer(buf, np.uint8))
+    # perm_image copies the columns out to int64
+    pg = perm_image(t)
+    assert [g.dtype for g in pg.gens] == [np.int64] * 3
+    assert not any(np.shares_memory(g, t.table) for g in pg.gens)
+
+
+def test_handover_holds_no_python_int_list(monkeypatch):
+    # traced from the pure kernel's return to the end of perm_image on
+    # the (4,1,3) toroid group (31,104 cosets, 4 generators): 1.79 MB
+    # with the int32 buffer (0.5 MB, the int64 generators, the verify
+    # temporaries); 3.24 MB when the kernel returned a list of Python
+    # ints and todd_coxeter copied it to int64
+    run = _tcpure.enumerate_cosets
+
+    def resetting(*args):
+        out = run(*args)
+        tracemalloc.reset_peak()
+        return out
+    monkeypatch.setattr(_tcpure, "enumerate_cosets", resetting)
+    pres = cubic_toroid_presentation(ToroidParams(4, 1, 3))
+    tracemalloc.start()
+    try:
+        pg = perm_image(todd_coxeter(pres, backend="pure"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pg.degree == 31104
+    assert peak < 2.5 * 2 ** 20
 
 
 @pytest.mark.parametrize("pres, digest", [
@@ -303,8 +364,14 @@ def test_kernels_share_the_lookahead_schedule():
 
 
 def _kernel_outcome(kernel, pres, subgens, limit):
-    return kernel.enumerate_cosets(pres.ngens, list(pres.relators),
-                                   [list(w) for w in subgens], limit)
+    """The table as a flat list of ints, or None on overflow.  The
+    kernels return an int32 buffer, decoded here; hlt_reference
+    returns the list."""
+    out = kernel.enumerate_cosets(pres.ngens, list(pres.relators),
+                                  [list(w) for w in subgens], limit)
+    if out is None or kernel is hlt_reference:
+        return out
+    return np.frombuffer(out, np.int32).tolist()
 
 
 @settings(max_examples=1000, deadline=None,
