@@ -12,7 +12,7 @@ elements.  parity_classes, partitioned_neighborhood and
 gonality_formula take such a graph as an adjacency mapping.
 """
 
-from collections import Counter
+import numpy as np
 
 from .errors import (
     Disconnected, NotAClass, PreconditionFailed, NotPConstructed,
@@ -141,38 +141,60 @@ def _check_leaf(g, leaf):
 
 
 def check_B1(g, leaf):
-    """Every j-element has exactly two i-elements, no repeated pairs."""
+    """Every j-element has exactly two i-elements, no repeated pairs.
+
+    Read on the CSR, whose rows list each j-element's i-elements
+    consecutively and in increasing order.
+    """
     _check_leaf(g, leaf)
     i, j = leaf
-    seen = set()
-    for e in g.elements_of_type(j):
-        ends = frozenset(geo.shadow(g, e, i))
-        if len(ends) != 2 or ends in seen:
-            return False
-        seen.add(ends)
-    return True
+    types = np.asarray(g.type_of, dtype=np.int64)
+    owner = geo._owners(g)
+    at = (types[owner] == j) & (types[g.indices] == i)
+    if not (np.bincount(owner[at], minlength=g.nelements)[types == j]
+            == 2).all():
+        return False
+    ends = g.indices[at].astype(np.int64)
+    code = np.sort(ends[0::2] * g.nelements + ends[1::2])
+    return not (code[1:] == code[:-1]).any()
 
 
 def check_B2(g, leaf):
     """e * x  iff  shadow_i(e) within shadow_i(x), for x off the leaf.
 
-    Counting the j-elements met through the i-elements of shadow_i(x)
-    finds the e under x: those met |shadow_i(e)| times, plus every e
-    with an empty shadow.
+    Joining the incidences (x, p), p of type i, with the (p, e), e of
+    type j, meets each e |shadow_i(e) cap shadow_i(x)| times, so the e
+    under x are those met |shadow_i(e)| times, plus every e with an
+    empty shadow.  The pairs (x, e) are counted as the codes x * m + e,
+    sorted; the incident pairs with a non-empty shadow must be exactly
+    the first, and every e with an empty shadow incident to every x.
     """
     _check_leaf(g, leaf)
     i, j = leaf
-    edges_at = {p: geo.shadow(g, p, j) for p in g.elements_of_type(i)}
-    size = Counter(e for es in edges_at.values() for e in es)
-    free = {e for e in g.elements_of_type(j) if e not in size}
-    for x in range(g.nelements):
-        if g.type_of[x] in (i, j):
-            continue
-        met = Counter(e for p in geo.shadow(g, x, i) for e in edges_at[p])
-        under = {e for e, c in met.items() if c == size[e]}
-        if under | free != geo.shadow(g, x, j):
-            return False
-    return True
+    m = g.nelements
+    types = np.asarray(g.type_of, dtype=np.int64)
+    owner = geo._owners(g)
+    ty = types[g.indices]
+    off = (types != i) & (types != j)
+    # each i-element's j-elements, a sub-CSR in the rows' order
+    pe = (types[owner] == i) & (ty == j)
+    size = np.bincount(owner[pe], minlength=m)
+    edges = g.indices[pe]
+    shadow = np.bincount(edges, minlength=m)  # |shadow_i(e)|
+    xp = off[owner] & (ty == i)
+    x = owner[xp].astype(np.int64)
+    which, pos = geo._expand(np.cumsum(size) - size, size, g.indices[xp])
+    code = np.sort(x[which] * m + edges[pos])
+    first = np.flatnonzero(np.diff(code, prepend=-1) != 0)
+    met = np.diff(np.append(first, len(code)))
+    code = code[first]
+    under = code[met == shadow[code % m]]
+    xe = off[owner] & (ty == j)
+    incident = owner[xe] * np.int64(m) + g.indices[xe]
+    free = (types == j) & (shadow == 0)
+    return np.array_equal(under, incident[shadow[g.indices[xe]] > 0]) \
+        and bool((np.bincount(g.indices[xe], minlength=m)[free]
+                  == np.count_nonzero(off)).all())
 
 
 def _leaf_preconditions(g, leaf):

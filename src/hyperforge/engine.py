@@ -15,6 +15,8 @@ Each coset geometry is labelled once, and Tits' condition reads those
 labels; isomorphisms of coset geometries are decided on the groups.
 """
 
+import logging
+import time
 from collections import namedtuple
 
 import numpy as np
@@ -23,6 +25,8 @@ from .errors import InvalidParams, NotAnAction
 from .perms import PermGroup, bfs_tree, label_pairs, orbit_labels, \
     require_regular, subgroup_points, subgroup_masks
 from . import geometry as geo
+
+log = logging.getLogger("hyperforge")
 
 
 def left_mult_gens(pg):
@@ -116,7 +120,8 @@ def tits_condition(g, *, masks=None):
 
 def coset_diagram(g):
     """Buekenhout diagram of a flag-transitive coset geometry from one
-    rank-2 residue per type pair.
+    rank-2 residue per type pair, all labelled in one
+    geometry.rank2_labels call.
 
     The residue of cotype {i,j} is taken at the base flag, the cosets
     G_t (t not in {i,j}) holding the identity.  Flag-transitivity makes
@@ -127,16 +132,26 @@ def coset_diagram(g):
     rho_j>|, where geometry.buekenhout_diagram counts distinct
     residues, which can be fewer; the labels and the shape are the same.
     """
+    start = time.perf_counter()
     data = g.coset_data
     pg = data.pg
-    entries = {}
-    for i in range(g.rank):
-        for j in range(i + 1, g.rank):
-            pts = subgroup_points(pg, (i, j))
-            a, b = label_pairs(data.labels_by_type[i][pts],
-                               data.labels_by_type[j][pts])
-            lab = geo.rank2_label(zip(a.tolist(), b.tolist()))
-            entries[(i, j)] = ((lab, pg.degree // len(pts)),)
+    pairs = [(i, j) for i in range(g.rank) for j in range(i + 1, g.rank)]
+    block, point, line, mult = [], [], [], []
+    for b, (i, j) in enumerate(pairs):
+        pts = subgroup_points(pg, (i, j))
+        a, c = label_pairs(data.labels_by_type[i][pts],
+                           data.labels_by_type[j][pts])
+        block.append(np.full(len(a), b))
+        point.append(a)
+        line.append(c)
+        mult.append(pg.degree // len(pts))
+    labels = geo.rank2_labels(*map(np.concatenate, (block, point, line)),
+                              len(pairs)) if pairs else None
+    entries = {pair: geo.diagram_entry(labels[b:b + 1], mult[b:b + 1])
+               for b, pair in enumerate(pairs)}
+    log.debug("coset diagram: %d type pairs, %d residues, %d distinct"
+              " labelled, %.3f s", len(pairs), len(pairs), len(pairs),
+              time.perf_counter() - start)
     return geo.BuekenhoutDiagram(g.rank, entries)
 
 

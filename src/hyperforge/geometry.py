@@ -25,7 +25,9 @@ candidates of F (the elements incident to all of F) number the flags
 of the next level that contain F.  The flag count includes the empty
 flag, as MAX_FLAGS counts it; a level is built in runs of about
 _BLOCK candidates with the count checked after each, so a scan past
-MAX_FLAGS raises holding at most the flags counted and one run.
+MAX_FLAGS raises holding at most the flags counted and one run.  Each
+flag also carries the bit mask of its types, and one bincount per
+level counts the flags of every type set.
 
 Residual connectedness is decided on this chamber system.  For a
 flag F of cotype J, let Ch(F) be the chambers containing F.  When
@@ -40,7 +42,16 @@ chambers restricted to the types outside J, and each orbit of
 <sigma_i : i in J> lies in one of them.  Hence the geometry is
 residually connected exactly when, for every J with |J| >= 2, the
 orbits and the rows number the same (Buekenhout-Cohen, "Diagram
-Geometry", 2013, on chamber systems).
+Geometry", 2013, on chamber systems); the rows are the flags whose
+types are the complement of J, which the scan counted.
+
+The Buekenhout diagram labels the rank-2 residues, which are classes
+of chambers too: those agreeing outside types i, j hold the incident
+(point, line) pairs of one residue of cotype {i, j}.  rank2_labels
+labels all distinct residues of a type pair at once, by one
+breadth-first search from every node of the block-diagonal graph they
+form; the gonality is the least d at which some node at distance d
+from a source has two neighbours at distance d - 1, half the girth.
 """
 
 import collections
@@ -242,8 +253,10 @@ def enumerate_chambers(g):
 
 # geometry: no type is empty and every maximal flag is a chamber;
 # thin: every corank-1 flag extends in exactly two ways; chambers: an
-# int64 array, row c holding chamber c's type-t element in column t
-_Scan = collections.namedtuple("_Scan", "geometry thin chambers")
+# int64 array, row c holding chamber c's type-t element in column t;
+# by_types[s]: the flags whose set of types is the bit mask s (None
+# when 2^rank passes MAX_FLAGS, which no geometry's scan allows)
+_Scan = collections.namedtuple("_Scan", "geometry thin chambers by_types")
 
 
 def _upper_rows(g):
@@ -269,6 +282,16 @@ def _find(code, prefix, c, m):
 _BLOCK = 1 << 16
 
 
+def _expand(begin, size, rows):
+    """The CSR rows rows[0], rows[1], ... one after another: (k, pos),
+    pos running over begin[r]:begin[r] + size[r] for r = rows[k]."""
+    n = size[rows]
+    ends = np.cumsum(n)
+    total = int(ends[-1]) if len(ends) else 0
+    k = np.repeat(np.arange(len(rows), dtype=np.int32), n)
+    return k, np.repeat(begin[rows] + n - ends, n) + np.arange(total)
+
+
 def _children(code, parent, last, upper, m, nflags):
     """The flags F + c of the level after the one whose flags are
     (parent, last), with sorted codes code: (owner, c, at, nflags),
@@ -277,18 +300,14 @@ def _children(code, parent, last, upper, m, nflags):
     tried for runs of consecutive F holding about _BLOCK of them, and
     the count is checked after each run."""
     begin, size, indices = upper
-    counts = size[last]
-    ends = np.cumsum(counts)
+    ends = np.cumsum(size[last])
     total = int(ends[-1]) if len(ends) else 0
     bounds = [0, *np.searchsorted(ends, np.arange(_BLOCK, total, _BLOCK),
                                   side="right").tolist(), len(last)]
     runs = []
     for lo, hi in zip(bounds, bounds[1:]):
-        n = counts[lo:hi]
-        owner = np.repeat(np.arange(lo, hi, dtype=np.int32), n)
-        start = ends[lo - 1] if lo else 0
-        pos = np.repeat(begin[last[lo:hi]] + n - ends[lo:hi] + start, n) \
-            + np.arange(len(owner))
+        owner, pos = _expand(begin, size, last[lo:hi])
+        owner += lo
         c = indices[pos]
         at = _find(code, parent[owner], c, m)
         keep = at >= 0
@@ -300,22 +319,33 @@ def _children(code, parent, last, upper, m, nflags):
 
 def _flag_levels(g):
     """Walk the flags level by level (see the module docstring).
-    Returns (nflags, geometry, thin, rows): the number of flags, the
-    empty one included; whether no flag below rank has an empty
-    candidate set (then every maximal flag is a chamber and no type is
-    empty); whether no corank-1 flag has a number of candidates other
-    than 0 or 2; and the chambers as rows of sorted element ids in
-    increasing lexicographic order.
+    Returns (nflags, geometry, thin, rows, by_types): the number of
+    flags, the empty one included; whether no flag below rank has an
+    empty candidate set (then every maximal flag is a chamber and no
+    type is empty); whether no corank-1 flag has a number of candidates
+    other than 0 or 2; the chambers as rows of sorted element ids in
+    increasing lexicographic order; and by_types[s], the number of
+    flags whose set of types is the bit mask s.
 
     sub[F, j] is the index in level k - 1 of F minus its j-th smallest
     element, so sub[F, k - 1] is F's parent; a flag of level k + 1
     counts once for each of its sub-flags, so the bincount of sub over
-    level k + 1 gives |cand(F)| for every flag F of level k.
+    level k + 1 gives |cand(F)| for every flag F of level k.  Each flag
+    carries its type mask, its parent's with the bit of its largest
+    element's type set.  A geometry has at least 2^rank flags (the
+    subsets of a chamber), so when 2^rank passes MAX_FLAGS the walk
+    raises or finds no geometry, and by_types is None.
     """
     m = g.nelements
     upper = _upper_rows(g)
     nflags = _counted(0, 1)  # the empty flag
     geometry = thin = True
+    by_types = None
+    if (1 << g.rank) <= MAX_FLAGS:
+        bit = np.left_shift(1, np.array(g.type_of, dtype=np.int64))
+        mask = np.zeros(1, dtype=np.int64)
+        by_types = np.zeros(1 << g.rank, dtype=np.int64)
+        by_types[0] = 1
     parents, lasts = [], []
     for k in range(g.rank):
         # build level k + 1, then count the candidates of level k
@@ -334,6 +364,10 @@ def _flag_levels(g):
             sub[:, k - 1] = at
             sub[:, k] = parent
             del code, prev, at
+        if by_types is not None:
+            mask = mask[parent] | bit[last]
+            seen = np.bincount(mask)
+            by_types[:len(seen)] += seen
         counts = np.bincount(sub.ravel(),
                              minlength=len(lasts[-1]) if k else 1)
         geometry = geometry and bool(counts.all())
@@ -346,7 +380,7 @@ def _flag_levels(g):
     for k in range(g.rank - 1, -1, -1):
         rows[:, k] = lasts[k][at]
         at = parents[k][at]
-    return nflags, geometry, thin, rows
+    return nflags, geometry, thin, rows, by_types
 
 
 def _counted(nflags, more):
@@ -364,11 +398,11 @@ def _scan_geometry(g):
     if scan is not None:
         return scan
     start = time.perf_counter()
-    nflags, geometry, thin, flat = _flag_levels(g)
+    nflags, geometry, thin, flat, by_types = _flag_levels(g)
     rows = np.empty_like(flat)
     types = np.array(g.type_of, dtype=np.int64)
     np.put_along_axis(rows, types[flat], flat, axis=1)
-    scan = _Scan(geometry, thin, rows)
+    scan = _Scan(geometry, thin, rows, by_types)
     g._scan = scan
     log.debug("flag scan: %d flags, %d chambers, geometry %s, thin %s,"
               " %.3f s", nflags, len(rows), scan.geometry, scan.thin,
@@ -443,19 +477,20 @@ def is_residually_connected(g):
     """Every residue of rank >= 2 (corank >= 2 flags, incl. empty) is
     connected, decided on the chamber system (see the module
     docstring): for each cotype J with |J| >= 2, the orbits of
-    <sigma_i : i in J> must number as many as the flags of cotype J."""
-    chambers = _require_geometry(g).chambers
+    <sigma_i : i in J> must number as many as the flags of cotype J,
+    which the scan counted."""
+    scan = _require_geometry(g)
     start = time.perf_counter()
-    n, rank = chambers.shape
-    sigma = [_adjacency(chambers, i) for i in range(rank)]
+    n, rank = scan.chambers.shape
+    sigma = [_adjacency(scan.chambers, i) for i in range(rank)]
+    full = (1 << rank) - 1
     checked = 0
     for size in range(2, rank + 1):
         for J in itertools.combinations(range(rank), size):
             checked += 1
             _, norbits = orbit_labels([sigma[i] for i in J], n)
-            _, starts = _classes(chambers,
-                                 [t for t in range(rank) if t not in J])
-            if norbits != len(starts):
+            cotype = sum(1 << i for i in J)
+            if norbits != scan.by_types[full & ~cotype]:
                 log.debug("residual connectedness: False at cotype %s,"
                           " %d cotypes checked, %.3f s", J, checked,
                           time.perf_counter() - start)
@@ -470,52 +505,106 @@ def is_thin(g):
     return _require_geometry(g).thin
 
 
-def rank2_label(pairs):
-    """(gonality, point diameter, line diameter) of a rank-2 residue
-    from its incident (point, line) pairs, which must cover it; a point
-    and a line may share an id.
+# the (source, node or edge end) pairs one batch of rank2_labels holds
+_LABEL_BUDGET = 1 << 20
 
-    Computed by BFS on the bipartite incidence graph; gonality is half
-    the shortest circuit length, math.inf when the graph is acyclic.
+
+def rank2_labels(block, point, line, nblocks):
+    """(gonality, point diameter, line diameter) of nblocks rank-2
+    residues, one float row each (math.inf for none): residue b is the
+    bipartite graph on the incident (point, line) pairs with block b,
+    which must cover it; a point and a line may share an id.
+
+    The residues form one block-diagonal graph, searched breadth first
+    from every node at once, one level per step.  A source's
+    eccentricity is its last level, math.inf when it misses part of its
+    block; the diameters are the largest over point and over line
+    sources.  The gonality is the least d at which some node at
+    distance d from a source has two neighbours at distance d - 1: two
+    shortest paths close a circuit of length at most 2d, and from a
+    node of a shortest circuit, of length 2g, the opposite node lies at
+    distance g with both its circuit neighbours at g - 1.  The sources
+    go in batches whose blocks hold about _LABEL_BUDGET nodes and edge
+    ends in all (one source when its block alone holds more), which
+    bounds a batch's marks and each level's temporaries, so one large
+    block never needs a matrix quadratic in its size.
     """
-    pairs = set(pairs)
-    points = {p: k for k, p in enumerate({p for p, _ in pairs})}
-    lines = {l: k for k, l in enumerate({l for _, l in pairs}, len(points))}
-    n = len(points) + len(lines)
-    nbrs = [[] for _ in range(n)]
-    for p, l in pairs:
-        nbrs[points[p]].append(lines[l])
-        nbrs[lines[l]].append(points[p])
-    girth = math.inf
-    diameter = [0, 0]  # over the points, over the lines
-    for src in range(n):
-        dist = [-1] * n
-        parent = [-1] * n
-        dist[src] = 0
-        todo = [src]
-        ecc = 0
-        local_cycle = math.inf
-        while todo:
-            nxt = []
-            for u in todo:
-                for v in nbrs[u]:
-                    if dist[v] < 0:
-                        dist[v] = dist[u] + 1
-                        parent[v] = u
-                        ecc = max(ecc, dist[v])
-                        nxt.append(v)
-                    elif v != parent[u] and dist[v] >= dist[u]:
-                        # non-tree edge closes a cycle through src
-                        local_cycle = min(local_cycle,
-                                          dist[u] + dist[v] + 1)
-            todo = nxt
-        girth = min(girth, local_cycle)
-        if -1 in dist:
-            ecc = math.inf
-        side = int(src >= len(points))
-        diameter[side] = max(diameter[side], ecc)
-    g_val = math.inf if math.isinf(girth) else girth // 2
-    return (g_val, *diameter)
+    # the nodes (block, side, id), sorted: each block's are consecutive
+    width = int(max(point.max(), line.max())) + 1
+    ends = [(block * 2 + side) * width + ids
+            for side, ids in enumerate((point, line))]
+    node = np.sort(np.concatenate(ends))
+    node = node[np.diff(node, prepend=-1) != 0]
+    n = len(node)
+    u, v = (np.searchsorted(node, e) for e in ends)
+    code = np.sort(np.concatenate([u * n + v, v * n + u]))
+    code = code[np.diff(code, prepend=-1) != 0]
+    degree = np.bincount(code // n, minlength=n)
+    indptr = np.cumsum(degree) - degree
+    indices = code % n
+    home = node // (2 * width)  # the block of each node
+    side = node // width % 2
+    first = np.searchsorted(home, np.arange(nblocks))
+    size = np.bincount(home, minlength=nblocks)
+    cost = (size + np.bincount(home, weights=degree,
+                               minlength=nblocks).astype(np.int64))[home]
+    total = np.cumsum(cost)
+    bounds = [0, *np.searchsorted(total, np.arange(
+        _LABEL_BUDGET, total[-1], _LABEL_BUDGET), side="right").tolist(), n]
+    gonality = np.full(nblocks, math.inf)
+    diameter = np.zeros((nblocks, 2))
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo == hi:
+            continue
+        # source lo + k marks node x of its block at seen[shift[k] + x];
+        # the frontier holds (seen index) << 32 | k, sorted
+        src = np.arange(lo, hi)
+        span = size[home[src]]
+        slot = np.cumsum(span) - span
+        shift = slot - first[home[src]]
+        seen = np.zeros(int(slot[-1] + span[-1]), dtype=bool)
+        frontier = (shift + src) << 32 | np.arange(hi - lo)
+        seen[frontier >> 32] = True
+        ecc = np.zeros(hi - lo)
+        d = 0
+        while len(frontier):
+            d += 1
+            at, k = frontier >> 32, frontier & 0xFFFFFFFF
+            which, pos = _expand(indptr, degree, at - shift[k])
+            k = k[which]
+            at = shift[k] + indices[pos]
+            fresh = ~seen[at]
+            step = np.sort(at[fresh] << 32 | k[fresh])
+            new = np.empty(len(step), dtype=bool)
+            new[:1] = True
+            np.not_equal(step[1:], step[:-1], out=new[1:])
+            frontier = step[new]
+            if len(frontier) < len(step):
+                b = home[lo + (step[~new] & 0xFFFFFFFF)]
+                gonality[b] = np.minimum(gonality[b], d)
+            seen[frontier >> 32] = True
+            ecc[frontier & 0xFFFFFFFF] = d
+        missed = np.searchsorted(slot, np.flatnonzero(~seen), side="right")
+        ecc[missed - 1] = math.inf
+        np.maximum.at(diameter, (home[src], side[src]), ecc)
+    return np.column_stack([gonality, diameter])
+
+
+def diagram_entry(labels, weight=None):
+    """The sorted ((gonality, d_P, d_L), multiplicity) items of the
+    rows of rank2_labels, row k counted weight[k] times (once by
+    default)."""
+    if weight is None:
+        weight = np.ones(len(labels), dtype=np.int64)
+    order = np.lexsort(labels.T[::-1])
+    labels = labels[order]
+    new = np.ones(len(labels), dtype=bool)
+    new[1:] = (labels[1:] != labels[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    counts = np.add.reduceat(np.asarray(weight)[order], starts)
+    return tuple((tuple(x if x == math.inf else int(x) for x in row),
+                  int(c))
+                 for row, c in zip(labels[starts].tolist(), counts))
 
 
 class BuekenhoutDiagram:
@@ -568,23 +657,62 @@ def diagram_shape(rank, edges):
     return (tuple(sorted(deg)), tuple(sorted(edges.values())))
 
 
+def _distinct_residues(flag, point, line, m):
+    """The residues of the flags in the rows of flag, sorted so that
+    each flag's rows are consecutive and its (point, line) pairs in
+    increasing order, with each set of pairs kept once: (block, point,
+    line, nblocks) of the kept pairs, block numbering the kept residues
+    densely.  Two residues are the same set exactly when their pair
+    codes point * m + line are the same rows; residues of one size are
+    compared as the rows of one matrix."""
+    n = len(point)
+    first = np.ones(n, dtype=bool)
+    first[1:] = (flag[1:] != flag[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    size = np.diff(np.append(starts, n))
+    code = point * m + line
+    keep = np.zeros(len(starts), dtype=bool)
+    sizes = np.sort(size)
+    for k in sizes[np.diff(sizes, prepend=-1) != 0].tolist():
+        which = np.flatnonzero(size == k)
+        rows = code[starts[which, None] + np.arange(k)]
+        by_row = np.lexsort(rows.T[::-1])
+        rows = rows[by_row]
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        keep[which[by_row[new]]] = True
+    residue = np.cumsum(first) - 1
+    kept = keep[residue]
+    block = (np.cumsum(keep) - 1)[residue[kept]]
+    return block, point[kept], line[kept], int(np.count_nonzero(keep))
+
+
 def buekenhout_diagram(g):
     """Labels of every rank-2 residue, read off the chambers.  Those
     agreeing outside types i, j contain one flag F of cotype {i, j},
     and their columns i, j are the incident (point, line) pairs of F's
     residue: in a geometry, F + {p, l} is a chamber exactly when p and
     l are incident.  Residues with the same pairs, hence the same
-    points and lines, count once."""
-    chambers = _require_geometry(g).chambers
+    points and lines, count once; the distinct residues of each type
+    pair are labelled in one rank2_labels call."""
+    scan = _require_geometry(g)
+    chambers = scan.chambers
+    start = time.perf_counter()
+    full = (1 << g.rank) - 1
     entries = {}
+    labelled = distinct = 0
     for i, j in itertools.combinations(range(g.rank), 2):
-        order, starts = _classes(chambers, [t for t in range(g.rank)
-                                            if t not in (i, j)])
-        residues = {tuple(sorted(zip(block[:, i].tolist(),
-                                     block[:, j].tolist())))
-                    for block in np.split(chambers[order], starts[1:])}
-        labels = collections.Counter(map(rank2_label, residues))
-        entries[(i, j)] = tuple(sorted(labels.items()))
+        flag = [t for t in range(g.rank) if t not in (i, j)]
+        rows = chambers[_classes(chambers, flag + [i, j])[0]]
+        block, point, line, nblocks = _distinct_residues(
+            rows[:, flag], rows[:, i], rows[:, j], g.nelements)
+        entries[(i, j)] = diagram_entry(
+            rank2_labels(block, point, line, nblocks))
+        labelled += int(scan.by_types[full & ~(1 << i | 1 << j)])
+        distinct += nblocks
+    log.debug("diagram: %d type pairs, %d residues, %d distinct labelled,"
+              " %.3f s", len(entries), labelled, distinct,
+              time.perf_counter() - start)
     return BuekenhoutDiagram(g.rank, entries)
 
 

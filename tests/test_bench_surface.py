@@ -6,11 +6,16 @@ show up here rather than as a crash of the benchmark."""
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-BENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
 SPANS = BENCH / "spans.py"
 
 
@@ -79,3 +84,19 @@ def test_direct_calls_resolve(name):
         if module is not None and not hasattr(module, attr):
             missing.append("%s.%s" % (modname, attr))
     assert missing == []
+
+
+def test_import_loads_only_numpy_and_the_standard_library():
+    # the benchmark's setup_s times the import; a new third-party import
+    # would show there first
+    code = ("import json, sys; before = set(sys.modules); import hyperforge;"
+            " print(json.dumps(sorted({m.split('.')[0] for m in sys.modules}"
+            " - {m.split('.')[0] for m in before})))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    loaded = json.loads(out.stdout)
+    assert "hyperforge" in loaded
+    assert [m for m in loaded if m not in ("hyperforge", "numpy")
+            and m not in sys.stdlib_module_names] == []

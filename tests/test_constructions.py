@@ -112,6 +112,19 @@ def b2_by_definition(g, leaf):
     return True
 
 
+def b1_by_definition(g, leaf):
+    """(B1) read off its definition, one shadow per j-element: each has
+    exactly two i-elements, and no two have the same pair."""
+    i, j = leaf
+    seen = set()
+    for e in g.elements_of_type(j):
+        ends = frozenset(geo.shadow(g, e, i))
+        if len(ends) != 2 or ends in seen:
+            return False
+        seen.add(ends)
+    return True
+
+
 def random_geometry(rng):
     """Rank 2-4, at most 12 elements, every type present, each pair of
     distinct types incident with one random density."""
@@ -123,6 +136,22 @@ def random_geometry(rng):
     pairs = [(x, y) for x in range(m) for y in range(x + 1, m)
              if types[x] != types[y] and rng.random() < density]
     return geo.build_geometry(rank, types, pairs)
+
+
+def test_check_B1_matches_its_definition():
+    rng = random.Random(8)
+    seen = collections.Counter()
+    for _ in range(3000):
+        g = random_geometry(rng)
+        for leaf in itertools.permutations(range(g.rank), 2):
+            want = b1_by_definition(g, leaf)
+            assert cons.check_B1(g, leaf) == want, (geo.to_json(g), leaf)
+            i, j = leaf
+            shadows = [len(geo.shadow(g, e, i))
+                       for e in g.elements_of_type(j)]
+            # why (B1) fails: a shadow of another size, or a repeated pair
+            seen[want, all(k == 2 for k in shadows)] += 1
+    assert set(seen) == {(True, True), (False, True), (False, False)}
 
 
 def test_check_B2_matches_its_definition():

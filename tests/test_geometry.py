@@ -2,6 +2,7 @@ import collections
 import itertools
 import json
 import logging
+import math
 import random
 import tracemalloc
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from hyperforge import geometry as geo
 from hyperforge import constructions as cons
-from hyperforge import engine, errors, toroids
+from hyperforge import dot, engine, errors, toroids
 from hyperforge.iso import isomorphic, is_flag_transitive
 
 from conftest import make_cube, make_polygon, make_tetrahedron, \
@@ -478,6 +479,55 @@ def test_csr_invariants(toroid_313):
     assert_csr(g)
 
 
+def rank2_label(pairs):
+    """(gonality, point diameter, line diameter) of a rank-2 residue
+    from its incident (point, line) pairs, which must cover it; a point
+    and a line may share an id.
+
+    Computed by BFS on the bipartite incidence graph; gonality is half
+    the shortest circuit length, math.inf when the graph is acyclic.
+    This per-node walk is the oracle for geometry.rank2_labels.
+    """
+    pairs = set(pairs)
+    points = {p: k for k, p in enumerate({p for p, _ in pairs})}
+    lines = {l: k for k, l in enumerate({l for _, l in pairs}, len(points))}
+    n = len(points) + len(lines)
+    nbrs = [[] for _ in range(n)]
+    for p, l in pairs:
+        nbrs[points[p]].append(lines[l])
+        nbrs[lines[l]].append(points[p])
+    girth = math.inf
+    diameter = [0, 0]  # over the points, over the lines
+    for src in range(n):
+        dist = [-1] * n
+        parent = [-1] * n
+        dist[src] = 0
+        todo = [src]
+        ecc = 0
+        local_cycle = math.inf
+        while todo:
+            nxt = []
+            for u in todo:
+                for v in nbrs[u]:
+                    if dist[v] < 0:
+                        dist[v] = dist[u] + 1
+                        parent[v] = u
+                        ecc = max(ecc, dist[v])
+                        nxt.append(v)
+                    elif v != parent[u] and dist[v] >= dist[u]:
+                        # non-tree edge closes a cycle through src
+                        local_cycle = min(local_cycle,
+                                          dist[u] + dist[v] + 1)
+            todo = nxt
+        girth = min(girth, local_cycle)
+        if -1 in dist:
+            ecc = math.inf
+        side = int(src >= len(points))
+        diameter[side] = max(diameter[side], ecc)
+    g_val = math.inf if math.isinf(girth) else girth // 2
+    return (g_val, *diameter)
+
+
 def diagram_by_flags(g):
     """buekenhout_diagram(g).entries read off every corank-2 flag: the
     flag's candidates of the two missing types are its residue's
@@ -495,7 +545,7 @@ def diagram_by_flags(g):
         key = (i, j, pts, lns)
         if key not in done:
             done.add(key)
-            lab = geo.rank2_label((p, l) for p in pts for l in lns
+            lab = rank2_label((p, l) for p in pts for l in lns
                                   if g.incident(p, l))
             seen[(i, j)][lab] = seen[(i, j)].get(lab, 0) + 1
 
@@ -526,6 +576,165 @@ def test_diagram_matches_the_flag_walk_on_toroids(cell):
     for stage in (g, h, hh):
         assert geo.buekenhout_diagram(stage).entries \
             == diagram_by_flags(stage)
+
+
+def random_residues(rng, nblocks):
+    """(block, point, line) arrays of nblocks random bipartite graphs,
+    each with 1-6 points and 1-6 lines met by its pairs, ids drawn from
+    one small range so that blocks, and a point and a line, share ids."""
+    block, point, line = [], [], []
+    for b in range(nblocks):
+        density = rng.uniform(0.2, 1.0)
+        ps = rng.sample(range(12), rng.randint(1, 6))
+        ls = rng.sample(range(12), rng.randint(1, 6))
+        pairs = {(p, l) for p in ps for l in ls if rng.random() < density}
+        pairs.add((ps[0], ls[0]))
+        pairs = sorted(pairs)
+        rng.shuffle(pairs)
+        block += [b] * len(pairs)
+        point += [p for p, _ in pairs]
+        line += [l for _, l in pairs]
+    return (np.array(block), np.array(point), np.array(line))
+
+
+def test_rank2_labels_match_the_per_node_walk(monkeypatch):
+    rng = random.Random(20261022)
+    seen = set()
+    # budgets below one block split a block's sources over batches
+    budgets = (1, 7, 50, geo._LABEL_BUDGET)
+    for k in range(400):
+        monkeypatch.setattr(geo, "_LABEL_BUDGET", budgets[k % len(budgets)])
+        nblocks = rng.randint(1, 5)
+        block, point, line = random_residues(rng, nblocks)
+        got = geo.rank2_labels(block, point, line, nblocks)
+        assert got.shape == (nblocks, 3)
+        for b in range(nblocks):
+            want = rank2_label(zip(point[block == b].tolist(),
+                                   line[block == b].tolist()))
+            assert tuple(got[b]) == want
+            seen.add(tuple(math.isinf(x) for x in want))
+    # cyclic and acyclic, connected and not
+    assert seen == {(False, False, False), (True, False, False),
+                    (True, True, True), (False, True, True)}
+
+
+def test_acyclic_and_disconnected_residues():
+    # a path point - line - point: no circuit
+    path = geo.build_geometry(2, [0, 0, 1], [(0, 2), (1, 2)])
+    assert geo.buekenhout_diagram(path).entries \
+        == {(0, 1): (((math.inf, 2, 1), 1),)}
+    # two disjoint incident pairs: no source reaches its whole residue
+    apart = geo.build_geometry(2, [0, 0, 1, 1], [(0, 2), (1, 3)])
+    assert geo.buekenhout_diagram(apart).entries \
+        == {(0, 1): (((math.inf, math.inf, math.inf), 1),)}
+    for g in (path, apart):
+        assert geo.buekenhout_diagram(g).entries == diagram_by_flags(g)
+
+
+def triangle_twice():
+    """A triangle (points 0-2, lines 3-5) with two type-2 elements 6
+    and 7, each incident to all six: the two corank-2 flags {6} and {7}
+    have the same residue."""
+    pairs = [(0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5)]
+    pairs += [(x, y) for x in range(6) for y in (6, 7)]
+    return geo.build_geometry(3, [0, 0, 0, 1, 1, 1, 2, 2], pairs)
+
+
+def test_a_shared_residue_counts_once(caplog):
+    caplog.set_level(logging.DEBUG, logger="hyperforge")
+    g = triangle_twice()
+    d = geo.buekenhout_diagram(g)
+    assert d.entries == {(0, 1): (((3, 3, 3), 1),),
+                         (0, 2): (((2, 2, 2), 3),),
+                         (1, 2): (((2, 2, 2), 3),)}
+    assert d.entries == diagram_by_flags(g)
+    # 2 + 3 + 3 flags of corank 2; the two of cotype {0, 1} share one
+    assert caplog.records[-1].getMessage().startswith(
+        "diagram: 3 type pairs, 8 residues, 7 distinct labelled, ")
+
+
+def test_non_uniform_pair_in_dot(square_pyramid):
+    assert dot.diagram_to_dot(square_pyramid) == (
+        'graph diagram {\n'
+        '  t0 [shape=circle, label="0"];\n'
+        '  t1 [shape=circle, label="1"];\n'
+        '  t2 [shape=circle, label="2"];\n'
+        '  t0 -- t1 [label="3/4", tooltip="(3, 3, 3)x4 (4, 4, 4)x1"];\n'
+        '  t1 -- t2 [label="3/4", tooltip="(3, 3, 3)x4 (4, 4, 4)x1"];\n'
+        '}\n')
+
+
+def test_a_large_residue_needs_no_quadratic_matrix():
+    # a circuit of 2,000 nodes: a matrix with one byte per pair of its
+    # nodes would hold 4 MB
+    g = make_polygon(1000)
+    geo._scan_geometry(g)
+    tracemalloc.start()
+    try:
+        d = geo.buekenhout_diagram(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.entries == {(0, 1): (((1000, 1000, 1000), 1),)}
+    assert peak < 4 * 10 ** 6
+
+
+def test_one_labelling_per_type_pair_and_no_cotype_sorts(monkeypatch,
+                                                         toroid_313):
+    calls = []
+    label = geo.rank2_labels
+    classes = geo._classes
+
+    def spy_label(block, point, line, nblocks):
+        calls.append(nblocks)
+        return label(block, point, line, nblocks)
+
+    def spy_classes(chambers, cols):
+        calls.append(tuple(cols))
+        return classes(chambers, cols)
+
+    monkeypatch.setattr(geo, "rank2_labels", spy_label)
+    monkeypatch.setattr(geo, "_classes", spy_classes)
+    cube = make_cube()
+    geo._scan_geometry(cube)
+    geo.buekenhout_diagram(cube)
+    # per type pair, one sort by the flag then the pair, one labelling
+    assert calls == [(2, 0, 1), 6, (1, 0, 2), 12, (0, 1, 2), 8]
+    calls.clear()
+    assert geo.is_residually_connected(cube)
+    # the sigma_i maps sort once per type; the cotypes are not sorted
+    assert calls == [(1, 2), (0, 2), (0, 1)]
+    calls.clear()
+    g = engine.coset_geometry(toroid_313[0])
+    engine.coset_diagram(g)
+    assert calls == [6]
+
+
+def test_type_set_counts_match_the_flags(monkeypatch):
+    rng = random.Random(20261023)
+    geometries = 0
+    for _ in range(1500):
+        g = random_incidence_system(rng, least=0)
+        want = collections.Counter()
+        scan_flags(g, lambda f, c: want.update(
+            [sum(1 << g.type_of[x] for x in f)]))
+        scan = geo._scan_geometry(g)
+        got = {s: int(c) for s, c in enumerate(scan.by_types) if c}
+        assert got == dict(want)
+        if scan.geometry:
+            geometries += 1
+            # the flags of a geometry are the distinct rows of the
+            # chambers restricted to their types
+            for s in range(1 << g.rank):
+                cols = [t for t in range(g.rank) if s >> t & 1]
+                _, starts = geo._classes(scan.chambers, cols)
+                assert len(starts) == scan.by_types[s]
+    assert geometries > 300
+    # past 2^rank > MAX_FLAGS no geometry can finish its scan
+    monkeypatch.setattr(geo, "MAX_FLAGS", 1000)
+    g = geo.build_geometry(10, range(10), [])
+    assert geo._scan_geometry(g).by_types is None
+    assert not geo.is_geometry(g)
 
 
 def glue(a, b, shared):
@@ -609,6 +818,22 @@ def test_flag_limit_trips_before_the_memo(query, monkeypatch):
     assert repr(got) == repr(query(make_cube()))
     assert got is True or query in (geo.enumerate_chambers,
                                     geo.buekenhout_diagram)
+
+
+def test_diagrams_are_logged(caplog, toroid_313):
+    caplog.set_level(logging.DEBUG, logger="hyperforge")
+    geo.buekenhout_diagram(make_cube())
+    engine.coset_diagram(engine.coset_geometry(toroid_313[0]))
+    lines = [r.getMessage() for r in caplog.records]
+    assert len(lines) == 3
+    assert lines[0].startswith("flag scan: 147 flags, 48 chambers,")
+    # the cube's 6 faces, 12 edges and 8 vertices, all distinct
+    assert lines[1].startswith("diagram: 3 type pairs, 26 residues,"
+                               " 26 distinct labelled, ")
+    assert lines[2].startswith("coset diagram: 6 type pairs, 6 residues,"
+                               " 6 distinct labelled, ")
+    for line in lines[1:]:
+        assert line.endswith(" s")
 
 
 def test_scan_and_rc_are_logged(caplog):
