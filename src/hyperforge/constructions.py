@@ -1,16 +1,40 @@
 """Halving constructions on incidence geometries.
 
-Given a geometry with a leaf pair (i,j) playing the (vertex, edge)
-roles: vertices double into two fibers and every other element doubles
-into its residue's parity classes (non-bipartite truncation), or the
-vertex set splits into the two sides of the bipartition (bipartite
-truncation).  halving_geometry dispatches between the two.
+A leaf pair (i,j) of types plays the (vertex, edge) roles.  The
+vertex-edge graph of some elements has their i-elements as vertices,
+and a j-element among them is an edge when exactly two of its
+i-elements are vertices.  _graphs builds many on the incidence CSR in
+one call: the whole geometry's (the {i,j}-truncation), or one per x
+off the leaf on the elements incident to x.  check_B1 and check_B2
+read them; truncation_graph and parity_classes give one graph as the
+adjacency mapping that partitioned_neighborhood and gonality_formula
+take.
 
-truncation_graph is the one vertex-edge graph builder: of the whole
-geometry for the leaf, of a residue for the parity classes of its
-elements.  parity_classes, partitioned_neighborhood and
-gonality_formula take such a graph as an adjacency mapping.
+Parities come from the bipartite double cover: vertex v lifts to
+(v,0) and (v,1), edge ab to (a,0)-(b,1) and (a,1)-(b,0), and one
+edge_labels call labels the covers of all the graphs.  A graph is
+bipartite when the lifts of its least vertex lie in different
+components, and connected when its lifts form one component more
+than that.  Class 0 is the side of the least vertex; a one-vertex
+graph is bipartite with an empty second class.
+
+H(Gamma) follows one of two rules, by the parity of the truncation:
+- P, not bipartite: fibres (p,0) of type i and (p,1) of type j over
+  every i-element p, and (x,C) for each parity class C of the graph
+  of each x off the leaf.  (p,0)-(q,1) and (q,0)-(p,1) for adjacent
+  p, q; (p,0)-(x,C) when p is in C, (p,1)-(x,C) when p is in its
+  complement (C itself when it is the only class); (x,C)-(y,D) when
+  x * y and C meets D.
+- BP, bipartite (Percsy, Percsy and Leemans 2000): drop the
+  j-elements, retype the vertices of side 1 as j and join the
+  vertices adjacent in the truncation.  Under the preconditions this
+  is the component of the P rule holding (least vertex, 0); on inputs
+  that fail them (force) the two differ, so BP keeps its own rule.
+One assembly numbers the elements of both by (type, base, class) and
+writes their labels, provenance and ConstructionData.
 """
+
+import collections
 
 import numpy as np
 
@@ -19,7 +43,7 @@ from .errors import (
     InvalidParams, NotAnAction,
 )
 from . import geometry as geo
-from .perms import PermGroup
+from .perms import PermGroup, edge_labels, label_pairs
 
 
 class ParityPartition:
@@ -54,81 +78,122 @@ def _as_graph(graph):
     return verts, adj
 
 
+def _parities(vrow, ngraphs, a, b):
+    """Parity classes of many graphs at once, on their double cover.
+
+    Vertex k lies in graph vrow[k], vrow sorted and each graph's least
+    vertex first; the edges join the vertices a and b.  Returns (side,
+    bip, fault): side[k] is 1 when k is not on the side of its graph's
+    least vertex, and per graph bip is its bipartiteness and fault 1
+    when it is empty, 2 when it is not connected, else 0.
+    """
+    n = len(vrow)
+    lab, _ = edge_labels(np.concatenate([a, a + n]),
+                         np.concatenate([b + n, b]), 2 * n)
+    size = np.bincount(vrow, minlength=ngraphs)
+    least = np.cumsum(size) - size
+    full = size > 0
+    bip = np.zeros(ngraphs, dtype=bool)
+    bip[full] = lab[least[full]] != lab[least[full] + n]
+    side = (lab[:n] != lab[least[vrow]]).astype(np.int64)
+    parts = np.bincount(label_pairs(np.tile(vrow, 2), lab)[0],
+                        minlength=ngraphs)
+    return side, bip, np.where(full, 2 * (parts != 1 + bip), 1)
+
+
+def _raise_first(fault):
+    """Disconnected for the first faulty graph, as parity_classes."""
+    bad = fault[fault > 0]
+    if bad.size:
+        raise Disconnected(("empty graph", "graph is not connected")
+                           [bad[0] - 1])
+
+
 def parity_classes(graph):
-    return _parity(*_as_graph(graph))
-
-
-def _parity(verts, adj):
-    if not verts:
-        raise Disconnected("empty graph")
-    color = {verts[0]: 0}
-    todo = [verts[0]]
-    odd = False
-    while todo:
-        v = todo.pop()
-        for w in adj[v]:
-            if w not in color:
-                color[w] = 1 - color[v]
-                todo.append(w)
-            elif color[w] == color[v]:
-                odd = True
-    if len(color) != len(verts):
-        raise Disconnected("graph is not connected")
-    if odd:
-        return ParityPartition([frozenset(verts)], False)
-    side0 = frozenset(v for v in verts if color[v] == 0)
-    side1 = frozenset(verts) - side0
-    if side1 and min(side1) < min(side0):
-        side0, side1 = side1, side0
-    return ParityPartition([side0, side1], True)
+    verts, adj = _as_graph(graph)
+    at = {v: k for k, v in enumerate(verts)}
+    ab = np.array([(k, at[w]) for k, v in enumerate(verts) for w in adj[v]],
+                  dtype=np.int64).reshape(-1, 2)
+    side, bip, fault = _parities(np.zeros(len(verts), dtype=np.int64), 1,
+                                 *ab.T)
+    _raise_first(fault)
+    if not bip[0]:
+        return ParityPartition([verts], False)
+    return ParityPartition([[v for v, s in zip(verts, side.tolist())
+                             if s == c] for c in (0, 1)], True)
 
 
 def partitioned_neighborhood(graph, P):
     """Rank-2 geometry: points P x {0}, lines P-bar x {1}, incidence
     is graph adjacency."""
-    verts, adj = _as_graph(graph)
-    pp = _parity(verts, adj)
+    _, adj = _as_graph(graph)
     P = frozenset(P)
-    pbar = pp.complement(P)
-    points = sorted(P)
-    lines = sorted(pbar)
-    types = [0] * len(points) + [1] * len(lines)
-    index = {}
-    labels = []
-    for n, p in enumerate(points):
-        index[(p, 0)] = n
-        labels.append((p, 0))
-    for n, q in enumerate(lines):
-        index[(q, 1)] = len(points) + n
-        labels.append((q, 1))
-    pairs = []
-    for p in points:
-        for q in adj[p]:
-            if q in pbar:
-                pairs.append((index[(p, 0)], index[(q, 1)]))
-    return geo.build_geometry(2, types, pairs, labels=labels)
+    pbar = parity_classes(graph).complement(P)
+    labels = [(p, 0) for p in sorted(P)] + [(q, 1) for q in sorted(pbar)]
+    index = {label: e for e, label in enumerate(labels)}
+    pairs = [(index[(p, 0)], index[(q, 1)])
+             for p in sorted(P) for q in adj[p] if q in pbar]
+    return geo.build_geometry(2, [t for _, t in labels], pairs,
+                              labels=labels)
+
+
+# vertex-edge graphs: vertex k is vert[k] in graph vrow[k], sorted by
+# (vrow, vert).  The vertices of each j-element e of graph r, met
+# through the i-elements, give the sorted codes r * m + e, one per
+# vertex; cand holds the code of every j-element of every graph,
+# sorted, whose vertices are the k in ends[lo:hi], increasing.
+_Graphs = collections.namedtuple("_Graphs", "vrow vert cand lo hi ends code")
+
+
+def _graphs(g, leaf, row, elem):
+    """The vertex-edge graphs at the leaf (i,j) of the element sets
+    {elem[k] : row[k] == r}, the pairs sorted by (row, elem)."""
+    i, j = leaf
+    m = g.nelements
+    types = np.asarray(g.type_of, dtype=np.int64)
+    ty = types[elem]
+    vrow, vert = row[ty == i], elem[ty == i]
+    at = (ty == j) & (ty != i)
+    cand = row[at] * m + elem[at]
+    owner = geo._owners(g)
+    pe = (types[owner] == i) & (types[g.indices] == j)
+    size = np.bincount(owner[pe], minlength=m)
+    k, pos = geo._expand(np.cumsum(size) - size, size, vert)
+    code = vrow[k] * m + g.indices[pe][pos]
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    return _Graphs(vrow, vert, cand, np.searchsorted(code, cand),
+                   np.searchsorted(code, cand, "right"),
+                   k[order].astype(np.int64), code)
+
+
+def _edges(gr):
+    """The edges of the graphs gr as vertex indices (a, b), a < b."""
+    lo = gr.lo[gr.hi - gr.lo == 2]
+    return gr.ends[lo], gr.ends[lo + 1]
+
+
+def _residues(g, leaf):
+    """The vertex-edge graph of each element x off the leaf, on the
+    elements incident to x, as graph x."""
+    owner = geo._owners(g).astype(np.int64)
+    keep = ~np.isin(g.type_of, leaf)[owner]
+    return _graphs(g, leaf, owner[keep], g.indices[keep].astype(np.int64))
 
 
 def truncation_graph(g, leaf, flag=()):
     """The {i,j}-truncation of the residue of flag (the whole geometry
     for the empty flag) seen as a graph on its i-elements, plus each
-    j-element's endpoint pair.  Elements keep their ids in g."""
-    i, j = leaf
-    cand = geo.flag_candidates(g, flag)
-    adj = {}
-    edges = []
-    for e in cand:
-        if g.type_of[e] == i:
-            adj[e] = set()
-        elif g.type_of[e] == j:
-            edges.append(e)
-    endpoints = {}
-    for e in edges:
-        ends = tuple(sorted(v for v in g.adj[e] if v in adj))
-        endpoints[e] = ends
-        if len(ends) == 2:
-            adj[ends[0]].add(ends[1])
-            adj[ends[1]].add(ends[0])
+    j-element's endpoint tuple.  Elements keep their ids in g."""
+    elem = np.array(geo.flag_candidates(g, flag), dtype=np.int64)
+    gr = _graphs(g, leaf, np.zeros(len(elem), dtype=np.int64), elem)
+    ends = gr.vert[gr.ends].tolist()
+    endpoints = {e: tuple(ends[a:b]) for e, a, b in zip(
+        gr.cand.tolist(), gr.lo.tolist(), gr.hi.tolist())}
+    adj = {v: set() for v in gr.vert.tolist()}
+    for a, b in (pair for pair in endpoints.values() if len(pair) == 2):
+        adj[a].add(b)
+        adj[b].add(a)
     return {v: tuple(sorted(a)) for v, a in adj.items()}, endpoints
 
 
@@ -141,60 +206,42 @@ def _check_leaf(g, leaf):
 
 
 def check_B1(g, leaf):
-    """Every j-element has exactly two i-elements, no repeated pairs.
-
-    Read on the CSR, whose rows list each j-element's i-elements
-    consecutively and in increasing order.
-    """
+    """Every j-element has exactly two i-elements, no repeated pairs:
+    all are edges of the truncation, no two joining the same ends."""
     _check_leaf(g, leaf)
-    i, j = leaf
-    types = np.asarray(g.type_of, dtype=np.int64)
-    owner = geo._owners(g)
-    at = (types[owner] == j) & (types[g.indices] == i)
-    if not (np.bincount(owner[at], minlength=g.nelements)[types == j]
-            == 2).all():
-        return False
-    ends = g.indices[at].astype(np.int64)
-    code = np.sort(ends[0::2] * g.nelements + ends[1::2])
-    return not (code[1:] == code[:-1]).any()
+    m = g.nelements
+    gr = _graphs(g, leaf, np.zeros(m, dtype=np.int64), np.arange(m))
+    a, b = _edges(gr)
+    code = np.sort(a * m + b)
+    return len(a) == len(gr.cand) and not (code[1:] == code[:-1]).any()
 
 
 def check_B2(g, leaf):
     """e * x  iff  shadow_i(e) within shadow_i(x), for x off the leaf.
 
-    Joining the incidences (x, p), p of type i, with the (p, e), e of
-    type j, meets each e |shadow_i(e) cap shadow_i(x)| times, so the e
-    under x are those met |shadow_i(e)| times, plus every e with an
-    empty shadow.  The pairs (x, e) are counted as the codes x * m + e,
-    sorted; the incident pairs with a non-empty shadow must be exactly
-    the first, and every e with an empty shadow incident to every x.
+    The residue graph of x meets each j-element e |shadow_i(e) cap
+    shadow_i(x)| times, so the e under x are those met |shadow_i(e)|
+    times, plus every e with an empty shadow.  The codes x * m + e of
+    the first must be exactly those of the j-elements of x with a
+    non-empty shadow, and every e with an empty shadow must be
+    incident to every x.
     """
     _check_leaf(g, leaf)
     i, j = leaf
     m = g.nelements
     types = np.asarray(g.type_of, dtype=np.int64)
     owner = geo._owners(g)
-    ty = types[g.indices]
-    off = (types != i) & (types != j)
-    # each i-element's j-elements, a sub-CSR in the rows' order
-    pe = (types[owner] == i) & (ty == j)
-    size = np.bincount(owner[pe], minlength=m)
-    edges = g.indices[pe]
-    shadow = np.bincount(edges, minlength=m)  # |shadow_i(e)|
-    xp = off[owner] & (ty == i)
-    x = owner[xp].astype(np.int64)
-    which, pos = geo._expand(np.cumsum(size) - size, size, g.indices[xp])
-    code = np.sort(x[which] * m + edges[pos])
-    first = np.flatnonzero(np.diff(code, prepend=-1) != 0)
-    met = np.diff(np.append(first, len(code)))
-    code = code[first]
-    under = code[met == shadow[code % m]]
-    xe = off[owner] & (ty == j)
-    incident = owner[xe] * np.int64(m) + g.indices[xe]
+    at = (types[owner] == i) & (types[g.indices] == j)
+    shadow = np.bincount(g.indices[at], minlength=m)  # |shadow_i(e)|
+    gr = _residues(g, leaf)
+    first = np.flatnonzero(np.diff(gr.code, prepend=-1) != 0)
+    met = np.diff(np.append(first, len(gr.code)))
+    code = gr.code[first]
     free = (types == j) & (shadow == 0)
-    return np.array_equal(under, incident[shadow[g.indices[xe]] > 0]) \
-        and bool((np.bincount(g.indices[xe], minlength=m)[free]
-                  == np.count_nonzero(off)).all())
+    return np.array_equal(code[met == shadow[code % m]],
+                          gr.cand[shadow[gr.cand % m] > 0]) \
+        and bool((np.bincount(gr.cand % m, minlength=m)[free]
+                  == np.count_nonzero(~np.isin(g.type_of, leaf))).all())
 
 
 def _leaf_preconditions(g, leaf):
@@ -218,173 +265,135 @@ class ConstructionData:
         self.index = index
 
 
-def _attach(g, data):
-    g.construction = data
-    return g
-
-
 def p_construction(g, leaf, force=False):
-    """Partitioned geometry for a non-bipartite {i,j}-truncation.
-
-    Leaf elements become (p,0) and (p,1) over all i-elements p; every
-    other element x becomes (x,P) for each parity class P of its
-    residue graph.  Incidence: fibers of adjacent vertices; (p,0)
-    with (x,P) when p in P; (q,1) with (x,P) when q in P-bar; class
-    elements of incident bases when their classes intersect.
-    """
-    _check_leaf(g, leaf)
-    if not force:
-        _leaf_preconditions(g, leaf)
-    adj, _ = truncation_graph(g, leaf)
-    if not force and parity_classes(adj).bipartite:
-        raise PreconditionFailed("Bipartite")
-    return _p_build(g, leaf, adj)
-
-
-def _p_build(g, leaf, adj):
-    i, j = leaf
-    verts = g.elements_of_type(i)
-
-    bases = []
-    tags = []
-    types = []
-    class_sets = []
-    index = {}
-
-    def add(base, tag, t, cset):
-        index[(base, tag)] = len(bases)
-        bases.append(base)
-        tags.append(tag)
-        types.append(t)
-        class_sets.append(cset)
-
-    parities = {}
-    for t in range(g.rank):
-        if t == i:
-            for p in verts:
-                add(p, 0, i, None)
-        elif t == j:
-            for p in verts:
-                add(p, 1, j, None)
-        else:
-            for x in g.elements_of_type(t):
-                pp = parity_classes(truncation_graph(g, leaf, (x,))[0])
-                parities[x] = pp
-                for ci, P in enumerate(pp.classes):
-                    add(x, ("class", ci), t, P)
-
-    pairs = []
-    for p in verts:
-        for q in adj[p]:
-            if p < q:
-                pairs.append((index[(p, 0)], index[(q, 1)]))
-                pairs.append((index[(q, 0)], index[(p, 1)]))
-    for x, pp in parities.items():
-        for ci, P in enumerate(pp.classes):
-            xe = index[(x, ("class", ci))]
-            pbar = pp.complement(P)
-            for p in geo.shadow(g, x, i):
-                if p in P:
-                    pairs.append((index[(p, 0)], xe))
-                if p in pbar:
-                    pairs.append((index[(p, 1)], xe))
-        for y in g.adj[x]:
-            if g.type_of[y] in (i, j) or y <= x:
-                continue
-            qq = parities[y]
-            for ci, P in enumerate(pp.classes):
-                for cj, Q in enumerate(qq.classes):
-                    if P & Q:
-                        pairs.append((index[(x, ("class", ci))],
-                                      index[(y, ("class", cj))]))
-
-    labels = list(zip(bases, tags))
-    prov = {"construction": "P", "leaf": [i, j],
-            "elements": [[b, t if isinstance(t, int) else list(t)]
-                         for b, t in labels]}
-    out = geo.build_geometry(g.rank, types, pairs, labels=labels,
-                             provenance=prov)
-    return _attach(out, ConstructionData("P", (i, j), bases, tags,
-                                         class_sets, index))
+    """Partitioned geometry for a non-bipartite {i,j}-truncation, by
+    the P rule of the module docstring."""
+    return _halve(g, leaf, force, "P")
 
 
 def bp_construction(g, leaf, force=False):
     """Bipartite construction: the two sides of the {i,j}-truncation
     replace the leaf elements; everything else is untouched."""
-    _check_leaf(g, leaf)
-    if not force:
-        _leaf_preconditions(g, leaf)
-    adj, _ = truncation_graph(g, leaf)
-    return _bp_build(g, leaf, adj, parity_classes(adj))
-
-
-def _bp_build(g, leaf, adj, pp):
-    if not pp.bipartite:
-        raise PreconditionFailed("Bipartite")
-    i, j = leaf
-    side0, side1 = pp.classes
-
-    bases = []
-    tags = []
-    types = []
-    index = {}
-
-    def add(base, tag, t):
-        index[(base, tag)] = len(bases)
-        bases.append(base)
-        tags.append(tag)
-        types.append(t)
-
-    for t in range(g.rank):
-        if t == i:
-            for v in sorted(side0):
-                add(v, 0, i)
-        elif t == j:
-            for v in sorted(side1):
-                add(v, 1, j)
-        else:
-            for x in g.elements_of_type(t):
-                add(x, None, t)
-
-    pairs = []
-    for v in sorted(side0):
-        for w in adj[v]:
-            pairs.append((index[(v, 0)], index[(w, 1)]))
-    for x in range(g.nelements):
-        t = g.type_of[x]
-        if t == i:
-            key = (x, 0) if x in side0 else (x, 1)
-        elif t == j:
-            continue
-        else:
-            key = (x, None)
-        for y in g.adj[x]:
-            ty = g.type_of[y]
-            if ty in (i, j):
-                continue
-            if t == i or t < ty:
-                pairs.append((index[key], index[(y, None)]))
-
-    labels = list(zip(bases, tags))
-    prov = {"construction": "BP", "leaf": [i, j],
-            "elements": [[b, t] for b, t in labels]}
-    out = geo.build_geometry(g.rank, types, pairs, labels=labels,
-                             provenance=prov)
-    return _attach(out, ConstructionData("BP", (i, j), bases, tags,
-                                         [None] * len(bases), index))
+    return _halve(g, leaf, force, "BP")
 
 
 def halving_geometry(g, leaf, force=False):
-    """P or BP construction, by bipartiteness of the truncation, which
-    is built once and handed to the branch."""
+    """P or BP construction, by bipartiteness of the truncation."""
+    return _halve(g, leaf, force, None)
+
+
+def _halve(g, leaf, force, rule):
+    """The leaf check, the preconditions unless force, then the rule
+    "P", "BP" or None, the one the parity of the truncation names.  The
+    parity is read unless P is forced; a rule it contradicts raises."""
     _check_leaf(g, leaf)
     if not force:
         _leaf_preconditions(g, leaf)
-    adj, _ = truncation_graph(g, leaf)
-    pp = parity_classes(adj)
-    if pp.bipartite:
-        return _bp_build(g, leaf, adj, pp)
-    return _p_build(g, leaf, adj)
+    m = g.nelements
+    gr = _graphs(g, leaf, np.zeros(m, dtype=np.int64), np.arange(m))
+    if rule != "P" or not force:
+        side, bip, fault = _parities(gr.vrow, 1, *_edges(gr))
+        _raise_first(fault)
+        if rule == ("P" if bip[0] else "BP"):
+            raise PreconditionFailed("Bipartite")
+        rule = "BP" if bip[0] else "P"
+    return _bp_rule(g, leaf, gr, side) if rule == "BP" else \
+        _p_rule(g, leaf, gr)
+
+
+def _p_rule(g, leaf, gr):
+    """H(Gamma) by the P rule on the truncation gr.  Locally, the fibre
+    (p,f) is f * n + k for p = gr.vert[k], and the classes of the
+    elements x off the leaf follow; the first of those in (type, id)
+    order whose graph is empty or not connected raises."""
+    i, j = leaf
+    m = g.nelements
+    n = len(gr.vert)
+    types = np.asarray(g.type_of, dtype=np.int64)
+    res = _residues(g, leaf)
+    side, bip, fault = _parities(res.vrow, m, *_edges(res))
+    off = ~np.isin(g.type_of, leaf)
+    xs = np.flatnonzero(off)
+    _raise_first(fault[xs[np.argsort(types[xs], kind="stable")]])
+    count = 1 + bip[xs]
+    first = np.zeros(m, dtype=np.int64)  # the local index of (x, class 0)
+    first[xs] = 2 * n + np.cumsum(count) - count
+    cls = first[res.vrow] + side  # each vertex's class in its graph
+    # (x,C)-(y,D): each vertex k of x's graph, for x < y off the leaf
+    # and x * y, met as vertex l of y's graph
+    owner = geo._owners(g).astype(np.int64)
+    at = off[owner] & off[g.indices] & (owner < g.indices)
+    size = np.bincount(res.vrow, minlength=m)
+    xy, k = geo._expand(np.cumsum(size) - size, size, owner[at])
+    code = g.indices[at].astype(np.int64)[xy] * m + res.vert[k]
+    vcode = res.vrow * m + res.vert
+    l = np.searchsorted(vcode, code)
+    met = vcode[np.minimum(l, len(vcode) - 1)] == code
+    k, l = k[met], l[met]
+    fibre = np.searchsorted(gr.vert, res.vert)
+    a, b = _edges(gr)
+    total = 2 * n + int(count.sum())
+    order = np.argsort(cls, kind="stable")
+    bounds = np.searchsorted(cls[order], np.arange(2 * n, total + 1))
+    members, bounds = res.vert[order].tolist(), bounds.tolist()
+    return _assemble(
+        g, "P", leaf,
+        np.concatenate([np.full(n, i), np.full(n, j),
+                        np.repeat(types[xs], count)]),
+        np.concatenate([gr.vert, gr.vert, np.repeat(xs, count)]),
+        np.arange(total) - np.concatenate(
+            [np.arange(2 * n), np.repeat(first[xs], count)]),
+        [(a, b + n), (b, a + n), (fibre, cls),
+         (fibre + n, first[res.vrow] + (1 - side) * bip[res.vrow]),
+         (cls[k], cls[l])],
+        [None] * (2 * n) + [frozenset(members[s:e])
+                            for s, e in zip(bounds, bounds[1:])])
+
+
+def _bp_rule(g, leaf, gr, side):
+    """H(Gamma) by the BP rule on the truncation gr, with its sides;
+    locally, the element e of g is local[e]."""
+    j = leaf[1]
+    types = np.asarray(g.type_of, dtype=np.int64)
+    kept = types != j
+    local = np.cumsum(kept) - 1
+    retyped = types.copy()
+    retyped[gr.vert[side == 1]] = j
+    owner = geo._owners(g)
+    inc = kept[owner] & kept[g.indices]
+    a, b = _edges(gr)
+    keep = np.flatnonzero(kept)
+    return _assemble(g, "BP", leaf, retyped[keep], keep,
+                     np.zeros(len(keep), dtype=np.int64),
+                     [(local[gr.vert[a]], local[gr.vert[b]]),
+                      (local[owner[inc]], local[g.indices[inc]])],
+                     [None] * len(keep))
+
+
+def _assemble(g, kind, leaf, types, bases, cls, pairs, class_sets):
+    """H(Gamma) from its elements, as arrays of (type, base, class) in
+    a local order, and its incidences, as pairs of arrays of local
+    indices.  The elements are numbered by (type, base, class) and
+    labelled (base, tag): tag 0 on type i and 1 on type j, else
+    ("class", class) for P and None for BP."""
+    i, j = leaf
+    order = np.lexsort((cls, bases, types))
+    new = np.empty_like(order)
+    new[order] = np.arange(len(order))
+    ends = [new[np.concatenate(side)] for side in zip(*pairs)]
+    types, bases, cls = (a[order].tolist() for a in (types, bases, cls))
+    tags = [0 if t == i else 1 if t == j else ("class", c)
+            if kind == "P" else None for t, c in zip(types, cls)]
+    labels = list(zip(bases, tags))
+    prov = {"construction": kind, "leaf": [i, j],
+            "elements": [[b, list(t) if isinstance(t, tuple) else t]
+                         for b, t in labels]}
+    out = geo.build_geometry(g.rank, types, np.stack(ends, axis=1),
+                             labels=labels, provenance=prov)
+    out.construction = ConstructionData(
+        kind, (i, j), bases, tags, [class_sets[e] for e in order.tolist()],
+        {label: e for e, label in enumerate(labels)})
+    return out
 
 
 def duality_correlation(h):
@@ -393,18 +402,12 @@ def duality_correlation(h):
     data = getattr(h, "construction", None)
     if data is None or data.kind != "P":
         raise NotPConstructed("input was not built by p_construction")
-    perm = [None] * h.nelements
-    for e in range(h.nelements):
-        base = data.bases[e]
-        tag = data.tags[e]
-        if tag == 0:
-            perm[e] = data.index[(base, 1)]
-        elif tag == 1:
-            perm[e] = data.index[(base, 0)]
+    perm = []
+    for e, (base, tag) in enumerate(zip(data.bases, data.tags)):
+        if tag in (0, 1):
+            perm.append(data.index[(base, 1 - tag)])
         else:
-            ci = tag[1]
-            other = (base, ("class", 1 - ci))
-            perm[e] = data.index[other] if other in data.index else e
+            perm.append(data.index.get((base, ("class", 1 - tag[1])), e))
     return perm
 
 
@@ -448,7 +451,6 @@ def b1b2_propagation(g, leaf, next_leaf, force=False):
     truncations are non-bipartite."""
     _check_leaf(g, leaf)
     _check_leaf(g, next_leaf)
-    i, j = leaf
     k, l = next_leaf
     if not force:
         for pair in (leaf, next_leaf):
@@ -456,24 +458,20 @@ def b1b2_propagation(g, leaf, next_leaf, force=False):
                 raise PreconditionFailed("B1 at %r" % (pair,))
             if not check_B2(g, pair):
                 raise PreconditionFailed("B2 at %r" % (pair,))
-    if k in (i, j) or l in (i, j):
+    if k in leaf or l in leaf:
         return True
-    bip = {}
+    res = _residues(g, leaf)
+    _, bip, fault = _parities(res.vrow, g.nelements, *_edges(res))
 
     def bipartite_at(x):
-        if x not in bip:
-            bip[x] = parity_classes(
-                truncation_graph(g, leaf, (x,))[0]).bipartite
+        _raise_first(fault[x:x + 1])
         return bip[x]
 
     for x in g.elements_of_type(k):
-        for y in g.adj[x]:
-            if g.type_of[y] != l:
-                continue
-            if bipartite_at(x):
-                continue
-            if bipartite_at(y):
-                return False
+        ys = [y for y in g.indices[g.indptr[x]:g.indptr[x + 1]].tolist()
+              if g.type_of[y] == l]
+        if ys and not bipartite_at(x) and any(map(bipartite_at, ys)):
+            return False
     return True
 
 

@@ -68,7 +68,7 @@ from .errors import (
     SelfIncidence, SameTypeIncidence, UnknownElement, NotAFlag,
     NotAGeometry, SizeLimitExceeded, InvalidParams,
 )
-from .perms import orbit_labels
+from .perms import edge_labels, orbit_labels
 
 log = logging.getLogger("hyperforge")
 
@@ -425,17 +425,7 @@ def is_geometry(g):
 
 def is_connected(g):
     """Connectivity of the incidence graph."""
-    if g.nelements <= 1:
-        return True
-    seen = {0}
-    todo = [0]
-    while todo:
-        x = todo.pop()
-        for y in g.adj[x]:
-            if y not in seen:
-                seen.add(y)
-                todo.append(y)
-    return len(seen) == g.nelements
+    return edge_labels(_owners(g), g.indices, g.nelements)[1] <= 1
 
 
 def _classes(chambers, cols):

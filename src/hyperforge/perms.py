@@ -11,7 +11,11 @@ Every walk over the points of a regular group, here and in engine,
 runs on three array primitives: bfs_tree, orbit_labels and
 label_pairs.  orbit, a Python walk, is the tests' reference.
 orbit_labels numbers the orbits in order of first occurrence: orbit k
-is the k-th one met in a scan of the points from 0.  Subgroup orders,
+is the k-th one met in a scan of the points from 0.  It is edge_labels,
+the one connectivity routine of the package, on the edges from each
+point to its images; edge_labels takes any edge list, and labels the
+incidence graph (geometry.is_connected) and the bipartite double
+covers of the vertex-edge graphs (constructions) too.  Subgroup orders,
 masks and the intersection property need a regular group, and so
 does order() when no order was given; on any other group they raise
 IncompleteTable.
@@ -101,20 +105,27 @@ def bfs_tree(gens, degree):
 
 def orbit_labels(perms, degree):
     """Orbit labels of the points under the given perms, and the number
-    of orbits.
+    of orbits: edge_labels on the edges from each point to its images."""
+    points = np.arange(degree, dtype=np.int64)
+    return edge_labels(np.tile(points, len(perms)),
+                       np.concatenate(perms) if perms else points[:0],
+                       degree)
+
+
+def edge_labels(a, b, degree):
+    """Component labels of the graph on points 0..degree-1 with the
+    edges a[w]-b[w], and the number of components.
 
     Root hooking and pointer jumping (Shiloach-Vishkin, "An O(log n)
     parallel connectivity algorithm", J. Algorithms 1982): every point
     has a parent no larger than itself.  Each round hooks every root
     to the least smaller root that an edge joins it to, then jumps parents
     until each point's parent is a root; edges inside one tree are
-    dropped.  When no edge is left, each orbit is a star on its least
-    point, so ranking the roots numbers the orbits in order of first
-    occurrence, which makes the labelling deterministic.
+    dropped.  When no edge is left, each component is a star on its
+    least point, so ranking the roots numbers the components in order
+    of first occurrence, which makes the labelling deterministic.
     """
     parent = np.arange(degree, dtype=np.int64)
-    a = np.tile(parent, len(perms))
-    b = np.concatenate(perms) if perms else a
     while True:
         a, b = parent[a], parent[b]
         moving = a != b

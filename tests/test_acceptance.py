@@ -403,8 +403,40 @@ GOLDEN_DIGESTS = {
 }
 
 
+# sha256 of more halvings, taken before H(Gamma) was built on the
+# incidence arrays: the P rule on (3,3,3), the BP rule on (4,2,2), and
+# the second halvings, at (n,n-1), of (3,1,3) and (3,1,4)
+HALVING_DIGESTS = {
+    ((3, 3, 3), "P"): "3084ff0448d425bb66a942d5f504c9c7"
+                      "8f2c04f318cc7df9757405217115d0dc",
+    ((4, 2, 2), "BP"): "7e67d670eddeab372c112d65780b73e9"
+                       "db4ff2bc22af22251523efa757185ba6",
+    ((3, 1, 3), "P", "BP"): "5bd285850100f62baf08a080e16d51e0"
+                            "e0104e24963f3722f2c5ff86cffdd1c2",
+    ((3, 1, 4), "BP", "BP"): "a471139e296db2f28d05d4824f8c42be"
+                             "3249e2979660314dc93d5a4ffbb19892",
+}
+
+
 def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_halving_digests(toroid_313, toroid_314):
+    got = {}
+    built = {(3, 1, 3): toroid_313, (3, 1, 4): toroid_314}
+    for key in HALVING_DIGESTS:
+        params, kinds = key[0], key[1:]
+        if params not in built:
+            built[params] = toroids.build_cubic_toroid(
+                toroids.ToroidParams(*params))
+        h = built[params][1]
+        # the kinds the halvings at (0,1), then (n,n-1), must take
+        for leaf, kind in zip(((0, 1), (params[0], params[0] - 1)), kinds):
+            h = cons.halving_geometry(h, leaf)
+            assert h.construction.kind == kind, key
+        got[key] = _digest(geo.to_json(h))
+    assert got == HALVING_DIGESTS
 
 
 def test_golden_output_digests(toroid_313, toroid_314, family_reports):

@@ -7,7 +7,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hyperforge import cli
 from hyperforge import geometry as geo
 from hyperforge import presentations as pres
-from hyperforge.toroids import ToroidParams, cubic_toroid_presentation
+from hyperforge.toroids import ToroidParams, cubic_toroid_presentation, \
+    verify_family
 
 from conftest import make_polygon
 
@@ -391,3 +392,22 @@ def test_loaders_exit_with_a_code_on_any_json(tmp_path, capsys, doc,
     code = run([arg.format(path) for arg in command])
     assert code in (0, 1, 2, 3)
     capsys.readouterr()
+
+
+def test_pipeline_reads_only_the_incidence_arrays(tmp_path, monkeypatch):
+    """verify_family and the JSON commands on the (3,1,3) toroid never
+    build the adj tuple view; ft, residue, shadow and truncation_graph
+    with a non-empty flag are its only readers."""
+    def refuse(g):
+        raise AssertionError("adj read")
+
+    monkeypatch.setattr(geo.IncidenceGeometry, "adj", property(refuse))
+    assert verify_family(ToroidParams(3, 1, 3), depth=2)["ok"]
+    toroid, half = tmp_path / "toroid.json", tmp_path / "half.json"
+    assert run(["build", "toroid", "--n", "3", "--k", "1", "--s", "3",
+                "-o", str(toroid)]) == 0
+    assert run(["halve", str(toroid), "--leaf", "0,1",
+                "-o", str(half)]) == 0
+    assert run(["diagram", str(toroid)]) == 0
+    assert run(["check", str(toroid), "--props",
+                "geom,conn,thin,rc,b1:0:1,b2:0:1"]) == 0

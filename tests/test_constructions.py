@@ -12,6 +12,8 @@ from hyperforge.iso import isomorphic, automorphism_group, \
     is_flag_transitive, validate_action
 
 from conftest import relabel_types
+import halving_reference as ref
+from test_geometry import random_incidence_system
 
 
 def cycle(m):
@@ -335,3 +337,106 @@ def test_gonality_formula_vs_cycles(adj):
     else:
         girth = min(x for x in (odd, even) if x is not None)
         assert value in (girth, girth // 2, (even or 0) // 2)
+
+
+BUILDERS = ((cons.halving_geometry, ref.halving_geometry),
+            (cons.p_construction, ref.p_construction),
+            (cons.bp_construction, ref.bp_construction))
+
+
+def outcome(f, *args, **kw):
+    """f's result, or its exception's type name and message."""
+    try:
+        return f(*args, **kw)
+    except errors.HyperforgeError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def built(build, g, leaf, **kw):
+    """What one build shows: the JSON bytes, the labels and every
+    ConstructionData field, or the exception's type and message."""
+    h = outcome(build, g, leaf, **kw)
+    if isinstance(h, tuple):
+        return h
+    d = h.construction
+    return (geo.to_json(h), h.labels, d.kind, d.leaf, d.bases, d.tags,
+            d.class_sets, d.index)
+
+
+def assert_builders_match_reference(g, seen):
+    """Each builder with force=True against the dict reference at every
+    ordered leaf of g; seen counts the rules built and the exceptions."""
+    for leaf in itertools.permutations(range(g.rank), 2):
+        for build, reference in BUILDERS:
+            got = built(build, g, leaf, force=True)
+            assert got == built(reference, g, leaf), \
+                (geo.to_json(g), leaf, build.__name__)
+            seen[got[2] if len(got) > 2 else got[0]] += 1
+
+
+def test_builders_match_the_dict_reference_on_random_systems():
+    rng = random.Random(2110)
+    seen = collections.Counter()
+    for _ in range(1000):
+        assert_builders_match_reference(random_incidence_system(rng), seen)
+    # smaller systems, where the P rule is built far more often
+    for _ in range(500):
+        assert_builders_match_reference(random_geometry(rng), seen)
+    assert seen["P"] >= 600 and seen["BP"] >= 2000, seen
+    assert seen["Disconnected"] > 0 and seen["PreconditionFailed"] > 0
+
+
+def parities(find, graph):
+    """find(graph) as (classes, bipartite), or its exception."""
+    pp = outcome(find, graph)
+    return pp if isinstance(pp, tuple) else (pp.classes, pp.bipartite)
+
+
+def test_truncation_graphs_match_the_dict_reference():
+    rng = random.Random(2111)
+    for _ in range(300):
+        g = random_incidence_system(rng)
+        for leaf in itertools.permutations(range(g.rank), 2):
+            for flag in [()] + [(x,) for x in range(g.nelements)]:
+                graph = cons.truncation_graph(g, leaf, flag)
+                assert graph == ref.truncation_graph(g, leaf, flag)
+                assert parities(cons.parity_classes, graph[0]) \
+                    == parities(ref.parity, graph[0])
+
+
+def toroid_stages(toroid):
+    """A toroid, its halving at (0,1) and that one's at (n,n-1)."""
+    _, g = toroid
+    n = g.rank - 1
+    h = cons.halving_geometry(g, (0, 1))
+    return g, h, cons.halving_geometry(h, (n, n - 1))
+
+
+def test_builders_match_the_dict_reference_on_toroid_stages(toroid_313,
+                                                             toroid_314):
+    seen = collections.Counter()
+    for toroid in (toroid_313, toroid_314):
+        for stage in toroid_stages(toroid):
+            assert_builders_match_reference(stage, seen)
+            for t in range(stage.rank):
+                residue = geo.residue(stage, [stage.type_of.index(t)])
+                assert_builders_match_reference(residue, seen)
+    assert seen["P"] > 0 and seen["BP"] > 0, seen
+
+
+def test_b1b2_propagation_matches_the_residue_loop(toroid_313, toroid_314):
+    for toroid in (toroid_313, toroid_314):
+        for stage in toroid_stages(toroid)[:2]:
+            n = stage.rank - 1
+            for pair in (((0, 1), (n, n - 1)), ((n, n - 1), (0, 1))):
+                assert outcome(cons.b1b2_propagation, stage, *pair,
+                               force=True) \
+                    == outcome(ref.b1b2_propagation, stage, *pair)
+    rng = random.Random(21)
+    for _ in range(300):
+        g = random_geometry(rng)
+        for pair in itertools.permutations(
+                itertools.permutations(range(g.rank), 2), 2):
+            assert outcome(cons.b1b2_propagation, g, *pair, force=True) \
+                == outcome(ref.b1b2_propagation, g, *pair), \
+                (geo.to_json(g), pair)

@@ -212,6 +212,23 @@ def scan_flags(g, visit):
     return count
 
 
+def connected(g, elems):
+    """Connectivity of the incidence graph on the set elems, by a
+    depth-first walk over the adj tuple view."""
+    if len(elems) <= 1:
+        return True
+    start = next(iter(elems))
+    seen = {start}
+    todo = [start]
+    while todo:
+        x = todo.pop()
+        for y in g.adj[x]:
+            if y in elems and y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return len(seen) == len(elems)
+
+
 def by_definition(g):
     """(geometry, thin, residually connected) read off every flag: a
     geometry has no empty type and no maximal flag short of a chamber;
@@ -222,20 +239,6 @@ def by_definition(g):
     geometry = all(c > 0 for c in g.type_counts())
     thin = rc = True
 
-    def connected(elems):
-        if len(elems) <= 1:
-            return True
-        start = next(iter(elems))
-        seen = {start}
-        todo = [start]
-        while todo:
-            x = todo.pop()
-            for y in g.adj[x]:
-                if y in elems and y not in seen:
-                    seen.add(y)
-                    todo.append(y)
-        return len(seen) == len(elems)
-
     def visit(flag, cand):
         nonlocal geometry, thin, rc
         corank = g.rank - len(flag)
@@ -243,7 +246,7 @@ def by_definition(g):
             geometry = False
         if corank == 1 and len(cand) != 2:
             thin = False
-        if corank >= 2 and not connected(cand):
+        if corank >= 2 and not connected(g, cand):
             rc = False
 
     scan_flags(g, visit)
@@ -281,14 +284,20 @@ def random_incidence_system(rng, least=1):
 def test_verdicts_match_the_definitions_on_random_systems():
     rng = random.Random(20261018)
     seen = set()
+    connectivity = set()
     for _ in range(3000):
         g = random_incidence_system(rng)
         want = by_definition(g)
         assert verdicts(g) == want
         seen.add(want[::2])
+        whole = connected(g, frozenset(range(g.nelements)))
+        assert geo.is_connected(g) == whole
+        connectivity.add(whole)
     # geometries that are and are not residually connected, and
-    # non-geometries, on which both sides raise
+    # non-geometries, on which both sides raise; incidence graphs that
+    # are and are not connected
     assert seen == {(True, True), (True, False), (False, None)}
+    assert connectivity == {True, False}
 
 
 def scan_by_flags(g):
