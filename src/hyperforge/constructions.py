@@ -145,11 +145,14 @@ def partitioned_neighborhood(graph, P):
 _Graphs = collections.namedtuple("_Graphs", "vrow vert cand lo hi ends code")
 
 
-def _graphs(g, leaf, row, elem):
+def _graphs(g, leaf, row=None, elem=None):
     """The vertex-edge graphs at the leaf (i,j) of the element sets
-    {elem[k] : row[k] == r}, the pairs sorted by (row, elem)."""
+    {elem[k] : row[k] == r}, the pairs sorted by (row, elem); by
+    default graph 0, the whole geometry's."""
     i, j = leaf
     m = g.nelements
+    if elem is None:
+        row, elem = np.zeros(m, dtype=np.int64), np.arange(m)
     types = np.asarray(g.type_of, dtype=np.int64)
     ty = types[elem]
     vrow, vert = row[ty == i], elem[ty == i]
@@ -209,11 +212,13 @@ def check_B1(g, leaf):
     """Every j-element has exactly two i-elements, no repeated pairs:
     all are edges of the truncation, no two joining the same ends."""
     _check_leaf(g, leaf)
-    m = g.nelements
-    gr = _graphs(g, leaf, np.zeros(m, dtype=np.int64), np.arange(m))
+    return _b1(_graphs(g, leaf))
+
+
+def _b1(gr):
+    """check_B1 on the truncation gr."""
     a, b = _edges(gr)
-    code = np.sort(a * m + b)
-    return len(a) == len(gr.cand) and not (code[1:] == code[:-1]).any()
+    return len(label_pairs(a, b)[0]) == len(a) == len(gr.cand)
 
 
 def check_B2(g, leaf):
@@ -227,30 +232,25 @@ def check_B2(g, leaf):
     incident to every x.
     """
     _check_leaf(g, leaf)
+    return _b2(g, leaf, _residues(g, leaf))
+
+
+def _b2(g, leaf, res):
+    """check_B2 on the residue graphs res."""
     i, j = leaf
     m = g.nelements
     types = np.asarray(g.type_of, dtype=np.int64)
     owner = geo._owners(g)
     at = (types[owner] == i) & (types[g.indices] == j)
     shadow = np.bincount(g.indices[at], minlength=m)  # |shadow_i(e)|
-    gr = _residues(g, leaf)
-    first = np.flatnonzero(np.diff(gr.code, prepend=-1) != 0)
-    met = np.diff(np.append(first, len(gr.code)))
-    code = gr.code[first]
+    first = np.flatnonzero(np.diff(res.code, prepend=-1) != 0)
+    met = np.diff(np.append(first, len(res.code)))
+    code = res.code[first]
     free = (types == j) & (shadow == 0)
     return np.array_equal(code[met == shadow[code % m]],
-                          gr.cand[shadow[gr.cand % m] > 0]) \
-        and bool((np.bincount(gr.cand % m, minlength=m)[free]
+                          res.cand[shadow[res.cand % m] > 0]) \
+        and bool((np.bincount(res.cand % m, minlength=m)[free]
                   == np.count_nonzero(~np.isin(g.type_of, leaf))).all())
-
-
-def _leaf_preconditions(g, leaf):
-    if not geo.is_residually_connected(g):
-        raise PreconditionFailed("NotRC")
-    if not check_B1(g, leaf):
-        raise PreconditionFailed("B1")
-    if not check_B2(g, leaf):
-        raise PreconditionFailed("B2")
 
 
 class ConstructionData:
@@ -285,32 +285,38 @@ def halving_geometry(g, leaf, force=False):
 def _halve(g, leaf, force, rule):
     """The leaf check, the preconditions unless force, then the rule
     "P", "BP" or None, the one the parity of the truncation names.  The
-    parity is read unless P is forced; a rule it contradicts raises."""
+    parity is read unless P is forced; a rule it contradicts raises.
+    Preconditions and rule share one build of each graph they read."""
     _check_leaf(g, leaf)
+    gr = _graphs(g, leaf)
+    res = None if force else _residues(g, leaf)
     if not force:
-        _leaf_preconditions(g, leaf)
-    m = g.nelements
-    gr = _graphs(g, leaf, np.zeros(m, dtype=np.int64), np.arange(m))
+        if not geo.is_residually_connected(g):
+            raise PreconditionFailed("NotRC")
+        if not _b1(gr):
+            raise PreconditionFailed("B1")
+        if not _b2(g, leaf, res):
+            raise PreconditionFailed("B2")
     if rule != "P" or not force:
         side, bip, fault = _parities(gr.vrow, 1, *_edges(gr))
         _raise_first(fault)
         if rule == ("P" if bip[0] else "BP"):
             raise PreconditionFailed("Bipartite")
         rule = "BP" if bip[0] else "P"
-    return _bp_rule(g, leaf, gr, side) if rule == "BP" else \
-        _p_rule(g, leaf, gr)
+    return _bp_rule(g, leaf, gr, side) if rule == "BP" else _p_rule(
+        g, leaf, gr, _residues(g, leaf) if res is None else res)
 
 
-def _p_rule(g, leaf, gr):
-    """H(Gamma) by the P rule on the truncation gr.  Locally, the fibre
-    (p,f) is f * n + k for p = gr.vert[k], and the classes of the
-    elements x off the leaf follow; the first of those in (type, id)
-    order whose graph is empty or not connected raises."""
+def _p_rule(g, leaf, gr, res):
+    """H(Gamma) by the P rule on the truncation gr and the residue
+    graphs res.  Locally, the fibre (p,f) is f * n + k for p =
+    gr.vert[k], and the classes of the elements x off the leaf follow;
+    the first of those in (type, id) order whose graph is empty or not
+    connected raises."""
     i, j = leaf
     m = g.nelements
     n = len(gr.vert)
     types = np.asarray(g.type_of, dtype=np.int64)
-    res = _residues(g, leaf)
     side, bip, fault = _parities(res.vrow, m, *_edges(res))
     off = ~np.isin(g.type_of, leaf)
     xs = np.flatnonzero(off)

@@ -4,15 +4,16 @@ All functions here expect a PermGroup coming from coset enumeration
 over the trivial subgroup: points are group elements, point 0 the
 identity, generators act by right multiplication.  In that picture
 
-  - the parabolic G_i (all generators but i) is the right-orbit of 0
-    (perms.subgroup_mask),
+  - the parabolic G_i (all generators but i) is the right-orbit of 0,
+    and perms.parabolic_table codes each point by the G_i holding it,
   - right cosets G_i g are the orbits of left multiplication by G_i,
 
 which turns every subgroup computation below into orbit bookkeeping
 on the primitives of perms: values carried along bfs_tree, coset
 labels from orbit_labels, incidences and coset maps from label_pairs.
-Each coset geometry is labelled once, and Tits' condition reads those
-labels; isomorphisms of coset geometries are decided on the groups.
+Each coset geometry is labelled once; Tits' condition and the coset
+diagram read those labels and the group's parabolic table, and
+isomorphisms of coset geometries are decided on the groups.
 """
 
 import logging
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidParams, NotAnAction
 from .perms import PermGroup, bfs_tree, label_pairs, orbit_labels, \
-    require_regular, subgroup_points, subgroup_masks
+    parabolic_table, require_regular
 from . import geometry as geo
 
 log = logging.getLogger("hyperforge")
@@ -79,41 +80,35 @@ def coset_geometry(pg):
     return g
 
 
-def tits_condition(g, *, masks=None):
-    """Flag-transitivity of the coset geometry g of a C-group.
+def tits_condition(g):
+    """Flag-transitivity of the coset geometry g of a regular group.
 
     Tits' coset-product condition (Buekenhout-Cohen, Diagram Geometry,
     2013, Thm 1.8.10), in its form for right cosets (the inverse of the
     form for left cosets): for every type set J and every i not in J,
-    G_i (cap_{j in J} G_j) = cap_{j in J} (G_i G_j).  With the
-    intersection property the left intersection is <rho_k : k not in J>.
-    A product G_i A is the union of the right cosets G_i a, so it is the
-    mask of the points whose type-i label in g occurs in A.  The
-    condition holds trivially for |J| <= 1.  masks is
-    perms.subgroup_masks of the group, built here unless the caller has
-    it.
+    G_i (cap_{j in J} G_j) = cap_{j in J} (G_i G_j).  The points of
+    cap_{j in J} G_j are those whose perms.parabolic_table code holds
+    J.  A product G_i A is the union of the right cosets G_i a, so
+    gi_times(J) is the mask of the points whose type-i label in g occurs
+    in that meet.  The condition holds trivially for |J| <= 1.
     """
     data = g.coset_data
-    r = g.rank
-    full = (1 << r) - 1
-    if masks is None:
-        masks = subgroup_masks(data.pg)
+    code, _ = parabolic_table(data.pg)
     for i, labs in enumerate(data.labels_by_type):
         nlabs = int(data.offsets[i + 1] - data.offsets[i])
 
-        def gi_times(mask):
+        def gi_times(J):
             hit = np.zeros(nlabs, dtype=bool)
-            hit[labs[mask]] = True
+            hit[labs[code & J == J]] = True
             return hit[labs]
 
-        prods = {j: gi_times(masks[full & ~(1 << j)])
-                 for j in range(r) if j != i}
-        for J in range(1 << r):
-            js = [j for j in range(r) if J >> j & 1]
+        prods = {j: gi_times(1 << j) for j in range(g.rank) if j != i}
+        for J in range(1 << g.rank):
+            js = [j for j in prods if J >> j & 1]
             if J >> i & 1 or len(js) < 2:
                 continue
-            meet = np.logical_and.reduce([prods[j] for j in js])
-            if not np.array_equal(gi_times(masks[full & ~J]), meet):
+            if not np.array_equal(gi_times(J), np.logical_and.reduce(
+                    [prods[j] for j in js])):
                 return False
     return True
 
@@ -126,25 +121,27 @@ def coset_diagram(g):
     The residue of cotype {i,j} is taken at the base flag, the cosets
     G_t (t not in {i,j}) holding the identity.  Flag-transitivity makes
     every residue of that cotype isomorphic to it and puts its chambers
-    at the points of <rho_i, rho_j> (the intersection of those G_t),
-    whose labels of types i and j are its incident (point, line) pairs.
-    Its multiplicity counts the flags of cotype {i,j}, |G : <rho_i,
-    rho_j>|, where geometry.buekenhout_diagram counts distinct
-    residues, which can be fewer; the labels and the shape are the same.
+    at the points of the intersection of those G_t, the points whose
+    perms.parabolic_table code holds every t, whose labels of types i
+    and j are its incident (point, line) pairs.  Its multiplicity counts
+    the flags of cotype {i,j}, the index of that intersection, where
+    geometry.buekenhout_diagram counts distinct residues, which can be
+    fewer; the labels and the shape are the same.
     """
     start = time.perf_counter()
     data = g.coset_data
-    pg = data.pg
+    code, _ = parabolic_table(data.pg)
+    full = (1 << g.rank) - 1
     pairs = [(i, j) for i in range(g.rank) for j in range(i + 1, g.rank)]
     block, point, line, mult = [], [], [], []
     for b, (i, j) in enumerate(pairs):
-        pts = subgroup_points(pg, (i, j))
+        pts = np.flatnonzero(code | 1 << i | 1 << j == full)
         a, c = label_pairs(data.labels_by_type[i][pts],
                            data.labels_by_type[j][pts])
         block.append(np.full(len(a), b))
         point.append(a)
         line.append(c)
-        mult.append(pg.degree // len(pts))
+        mult.append(len(code) // len(pts))
     labels = geo.rank2_labels(*map(np.concatenate, (block, point, line)),
                               len(pairs)) if pairs else None
     entries = {pair: geo.diagram_entry(labels[b:b + 1], mult[b:b + 1])

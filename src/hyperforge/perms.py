@@ -3,9 +3,9 @@
 A PermGroup built from coset enumeration over the trivial subgroup is
 regular: points are the group elements, generators act by right
 multiplication, and point 0 is the identity.  That representation
-makes a subgroup a boolean point mask (the orbit of the identity) and
-subgroup intersections plain mask operations, which is how all the
-heavy checks below work.
+makes a subgroup a boolean point mask (the orbit of the identity).
+parabolic_table reads the masks of the parabolics into one code per
+point and one order per generator subset, which the heavy checks read.
 
 Every walk over the points of a regular group, here and in engine,
 runs on three array primitives: bfs_tree, orbit_labels and
@@ -15,10 +15,9 @@ is the k-th one met in a scan of the points from 0.  It is edge_labels,
 the one connectivity routine of the package, on the edges from each
 point to its images; edge_labels takes any edge list, and labels the
 incidence graph (geometry.is_connected) and the bipartite double
-covers of the vertex-edge graphs (constructions) too.  Subgroup orders,
-masks and the intersection property need a regular group, and so
-does order() when no order was given; on any other group they raise
-IncompleteTable.
+covers of the vertex-edge graphs (constructions) too.  Subgroup masks
+and the parabolic table need a regular group, and so does order() when
+no order was given; on any other group they raise IncompleteTable.
 """
 
 from math import lcm
@@ -36,6 +35,7 @@ class PermGroup:
         self.gens = [np.asarray(g, dtype=np.int64) for g in gens]
         self.regular = regular
         self._order = order
+        self._parabolics = None
 
     @property
     def ngens(self):
@@ -169,16 +169,23 @@ def subgroup_mask(pg, subset):
     return mask
 
 
-def subgroup_masks(pg):
-    """subgroup_mask of every generator subset; the subset is the bit
-    set of the list index."""
-    return [subgroup_mask(pg, [i for i in range(pg.ngens) if s >> i & 1])
-            for s in range(1 << pg.ngens)]
-
-
-def subgroup_points(pg, subset):
-    """Element set of <gens[i] : i in subset> in a regular PermGroup."""
-    return np.flatnonzero(subgroup_mask(pg, subset))
+def parabolic_table(pg):
+    """(code, order) of a regular PermGroup, memoised on it: bit j of
+    code[w] is set when w lies in <gens[x] : x != j>, and order[s] is
+    |<gens[i] : i in s>| for each bit set s.  One subgroup_mask per
+    generator subset, none of them kept."""
+    if pg._parabolics is None:
+        r = pg.ngens
+        full = (1 << r) - 1
+        code = np.zeros(pg.degree, dtype=np.min_scalar_type(full))
+        order = np.empty(1 << r, dtype=np.int64)
+        for s in range(1 << r):
+            mask = subgroup_mask(pg, [i for i in range(r) if s >> i & 1])
+            order[s] = np.count_nonzero(mask)
+            if bin(s).count("1") == r - 1:
+                code[mask] |= full ^ s
+        pg._parabolics = code, order
+    return pg._parabolics
 
 
 def coxeter_matrix(pg):
@@ -200,16 +207,16 @@ def involutions(pg):
                for g in pg.gens)
 
 
-def intersection_property(pg, *, masks=None):
-    """<I> cap <J> = <I cap J> for all generator subsets I, J.  masks
-    is subgroup_masks(pg), built here unless the caller has it."""
-    n = pg.ngens
-    if masks is None:
-        masks = subgroup_masks(pg)
-    for a in range(1 << n):
-        for b in range(a + 1, 1 << n):
-            # nested subsets meet in the smaller one
-            if a & b not in (a, b) and \
-                    not np.array_equal(masks[a] & masks[b], masks[a & b]):
-                return False
-    return True
+def intersection_property(pg):
+    """<I> cap <J> = <I cap J> for all generator subsets I, J: iff each
+    G_J = <gens[j] : j in J> is M_J, the meet of the maximal parabolics
+    without a j not in J (G_J lies in M_J; conversely G_I cap G_J =
+    M_I cap M_J = M_{I cap J} = G_{I cap J}).  |M_J| is meet[::-1][J],
+    meet the superset sums of the counts of the parabolic_table codes."""
+    code, order = parabolic_table(pg)
+    meet = np.bincount(code, minlength=1 << pg.ngens)
+    sets = np.arange(len(meet))
+    for b in range(pg.ngens):
+        below = sets[sets >> b & 1 == 0]
+        meet[below] += meet[below | 1 << b]
+    return bool(np.array_equal(order, meet[::-1]))

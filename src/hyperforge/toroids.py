@@ -24,8 +24,7 @@ from .presentations import GroupPresentation, coxeter_presentation, \
     relator_parity_bipartite
 from .toddcox import todd_coxeter, perm_image
 from .geometry import diagram_shape
-from .perms import coxeter_matrix, intersection_property, involutions, \
-    subgroup_masks
+from .perms import coxeter_matrix, intersection_property, involutions
 from . import engine
 from . import constructions as cons
 
@@ -127,18 +126,8 @@ def predict_degenerate_leaf(p):
 def _substitute(relators, repl):
     """Replace generator 0 by the word repl inside each relator that
     mentions it; other relators are dropped (already implied)."""
-    out = []
-    for w in relators:
-        if 0 not in w:
-            continue
-        new = []
-        for x in w:
-            if x == 0:
-                new.extend(repl)
-            else:
-                new.append(x)
-        out.append(tuple(new))
-    return out
+    return [_word(*(repl if x == 0 else (x,) for x in w))
+            for w in relators if 0 in w]
 
 
 def _halving_closure(p, w):
@@ -265,19 +254,18 @@ def _certify(g, context):
     then decides flag-transitivity (engine.tits_condition), and the
     coset geometry of a C-group that is flag-transitive is a regular
     hypertope (Fernandes-Leemans-Weiss, "Highly symmetric hypertopes",
-    2016, Thm 4.6).  Both checks read one set of parabolic point masks,
-    built here.  Raises PropertyViolation naming the step that fails.
+    2016, Thm 4.6).  Both read the group's perms.parabolic_table, as
+    the coset diagram does.  Raises PropertyViolation naming the step.
     """
     start = time.perf_counter()
     pg = g.coset_data.pg
     if not involutions(pg):
         raise PropertyViolation("%s: generators are not involutions"
                                 % context)
-    masks = subgroup_masks(pg)
-    if not intersection_property(pg, masks=masks):
+    if not intersection_property(pg):
         raise PropertyViolation("%s: intersection property fails"
                                 % context)
-    if not engine.tits_condition(g, masks=masks):
+    if not engine.tits_condition(g):
         raise PropertyViolation("%s: not flag-transitive" % context)
     log.debug("%s: C-group + Tits, order %d, %.3f s", context, pg.order(),
               time.perf_counter() - start)

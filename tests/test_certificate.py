@@ -105,7 +105,6 @@ def test_degenerate_leaf_fails_the_intersection_property():
     hg = engine.halving_group(pg, (0, 1))
     g = engine.coset_geometry(hg)
     assert intersection_property(hg) is False
-    assert intersection_property(hg, masks=perms.subgroup_masks(hg)) is False
     assert closure_intersection_property(hg) is False
     assert not _scanned(g)
     with pytest.raises(errors.PropertyViolation,
@@ -120,12 +119,9 @@ def test_c_group_that_is_not_flag_transitive():
                                      extra=((0, 1, 2) * 2,)))
     assert pg.order() == 18
     g = engine.coset_geometry(pg)
-    masks = perms.subgroup_masks(pg)
     assert intersection_property(pg) is True
-    assert intersection_property(pg, masks=masks) is True
     assert closure_intersection_property(pg) is True
     assert engine.tits_condition(g) is False
-    assert engine.tits_condition(g, masks=masks) is False
     assert iso.is_flag_transitive(g, engine.natural_action(g)) is False
     with pytest.raises(errors.PropertyViolation,
                        match="not flag-transitive"):
@@ -147,9 +143,16 @@ def test_chamber_transitive_non_geometry():
         toroids._certify(g, "star quotient")
 
 
+def _flag_transitive(g):
+    """Flag-transitivity by flag scans: a geometry whose chambers the
+    group permutes transitively."""
+    return geo.is_geometry(g) and \
+        iso.is_flag_transitive(g, engine.natural_action(g))
+
+
 def test_tits_condition_on_triangle_quotients():
-    # every C-group among the quotients of the triangle groups
-    # [a,b,c] by (r0 r1 r2)^e, a,b,c <= 4, e <= 6, against the scans
+    # every quotient of the triangle groups [a,b,c] by (r0 r1 r2)^e,
+    # a,b,c <= 4, e <= 6, against the scans, C-group or not
     verdicts = []
     for a, b, c in itertools.product((2, 3, 4), repeat=3):
         m = ((1, a, b), (a, 1, c), (b, c, 1))
@@ -160,17 +163,22 @@ def test_tits_condition_on_triangle_quotients():
                     max_cosets=2000))
             except errors.Overflow:
                 continue
-            if not (involutions(pg) and intersection_property(pg)):
-                continue
+            c_group = involutions(pg) and intersection_property(pg)
             g = engine.coset_geometry(pg)
             tits = engine.tits_condition(g)
-            assert tits == _scanned(g), (m, e)
+            assert tits == _flag_transitive(g), (m, e)
+            if c_group:
+                assert tits == _scanned(g), (m, e)
             if tits:
-                assert engine.coset_diagram(g).shape() \
-                    == geo.buekenhout_diagram(g).shape(), (m, e)
-            verdicts.append(tits)
-    assert verdicts.count(True) == 53
-    assert verdicts.count(False) == 2
+                got = engine.coset_diagram(g)
+                want = geo.buekenhout_diagram(g)
+                assert got.shape() == want.shape(), (m, e)
+                assert _labels(got) == _labels(want), (m, e)
+            verdicts.append((c_group, tits))
+    assert verdicts.count((True, True)) == 53
+    assert verdicts.count((True, False)) == 2
+    assert verdicts.count((False, True)) == 98
+    assert verdicts.count((False, False)) == 0
 
 
 def test_generators_must_be_involutions():
@@ -188,20 +196,21 @@ def test_tits_condition_needs_a_regular_group():
         engine.tits_condition(engine.coset_geometry(pg))
 
 
-def test_certificate_builds_the_masks_once(toroid_313, monkeypatch):
-    # intersection_property and tits_condition read the masks _certify
-    # built; each builds its own when called alone
+def test_certificate_builds_one_parabolic_table(monkeypatch, caplog):
+    # verify_family's certificates and coset diagrams read one table
+    # per certified group: one subgroup_mask per generator subset
     calls = []
-    build = perms.subgroup_masks
+    build = perms.subgroup_mask
 
-    def counted(pg):
+    def counted(pg, subset):
         calls.append(pg)
-        return build(pg)
-    for module in (perms, engine, toroids):
-        monkeypatch.setattr(module, "subgroup_masks", counted)
-    pg, g = toroid_313
-    toroids._certify(g, "toroid")
-    assert calls == [pg]
-    assert intersection_property(pg) and engine.tits_condition(g)
-    assert calls == [pg] * 3
-
+        return build(pg, subset)
+    monkeypatch.setattr(perms, "subgroup_mask", counted)
+    caplog.set_level("DEBUG", logger="hyperforge")
+    toroids.verify_family(toroids.ToroidParams(3, 1, 3), depth=2)
+    certified = [r for r in caplog.records
+                 if "C-group + Tits" in r.getMessage()]
+    groups = {id(pg): pg for pg in calls}
+    assert len(certified) == len(groups) == 3
+    for pg in groups.values():
+        assert sum(q is pg for q in calls) == 1 << pg.ngens

@@ -11,7 +11,7 @@ from hyperforge import geometry as geo
 from hyperforge.iso import isomorphic, automorphism_group, \
     is_flag_transitive, validate_action
 
-from conftest import relabel_types
+from conftest import make_polygon, relabel_types
 import halving_reference as ref
 from test_geometry import random_incidence_system
 
@@ -384,6 +384,57 @@ def test_builders_match_the_dict_reference_on_random_systems():
         assert_builders_match_reference(random_geometry(rng), seen)
     assert seen["P"] >= 600 and seen["BP"] >= 2000, seen
     assert seen["Disconnected"] > 0 and seen["PreconditionFailed"] > 0
+
+
+def unforced(build, g, leaf):
+    """What build shows without force, by its definition: the first of
+    the preconditions NotRC, B1 and B2 that fails, else the forced
+    build, which reads the parity of the truncation unless it is P."""
+    checks = (("NotRC", geo.is_residually_connected),
+              ("B1", lambda g: cons.check_B1(g, leaf)),
+              ("B2", lambda g: cons.check_B2(g, leaf)))
+
+    def run(g, leaf):
+        for reason, holds in checks:
+            if not holds(g):
+                raise errors.PreconditionFailed(reason)
+        if build is cons.p_construction and cons.parity_classes(
+                cons.truncation_graph(g, leaf)[0]).bipartite:
+            raise errors.PreconditionFailed("Bipartite")
+        return build(g, leaf, force=True)
+    return built(run, g, leaf)
+
+
+def test_unforced_builds_read_each_graph_once(monkeypatch, cube,
+                                              tetrahedron, square_pyramid,
+                                              two_cubes, hemicube,
+                                              toroid_313):
+    # the preconditions and the rule share the truncation and the
+    # residue graphs: at most two _graphs calls per build
+    rng = random.Random(2112)
+    systems = [cube, tetrahedron, square_pyramid, two_cubes, hemicube[1],
+               toroid_313[1], cons.halving_geometry(tetrahedron, (0, 1))] \
+        + [make_polygon(m) for m in (3, 4, 5)] \
+        + [random_geometry(rng) for _ in range(200)]
+    calls = []
+    graphs = cons._graphs
+
+    def counted(*args):
+        calls.append(args[1])
+        return graphs(*args)
+    monkeypatch.setattr(cons, "_graphs", counted)
+    seen = collections.Counter()
+    for g in systems:
+        for leaf in itertools.permutations(range(g.rank), 2):
+            for build, _ in BUILDERS:
+                want = unforced(build, g, leaf)
+                calls.clear()
+                got = built(build, g, leaf)
+                assert got == want, (geo.to_json(g), leaf, build.__name__)
+                assert len(calls) <= 2
+                seen[got[1] if len(got) == 2 else got[2]] += 1
+    assert all(seen[r] for r in ("NotRC", "B1", "B2", "Bipartite", "P",
+                                 "BP")), seen
 
 
 def parities(find, graph):

@@ -11,7 +11,7 @@ import hyperforge
 from hyperforge import errors
 from hyperforge import presentations as pres
 from hyperforge.perms import (
-    perm_mul, perm_order, orbit, subgroup_points,
+    perm_mul, perm_order, orbit, subgroup_mask, parabolic_table,
     coxeter_matrix, intersection_property, PermGroup, bfs_tree, label_pairs,
     orbit_labels,
 )
@@ -204,6 +204,36 @@ def closure_intersection_property(pg):
                for a in range(1 << n) for b in range(a + 1, 1 << n))
 
 
+def regular_representation(perms):
+    """The regular PermGroup of the group the perms generate, its
+    points the elements in breadth-first order from the identity."""
+    ident = tuple(range(len(perms[0])))
+    elems, index = [ident], {ident: 0}
+    for e in elems:  # grows while it is read
+        for g in perms:
+            y = tuple(g[x] for x in e)
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+    gens = [[index[tuple(g[x] for x in e)] for e in elems] for g in perms]
+    return PermGroup(len(elems), gens, regular=True)
+
+
+def test_intersection_property_on_random_groups():
+    # 1 to 4 random permutations of 4 points, involutions or not, the
+    # identity and repeats included
+    rng = np.random.default_rng(22)
+    verdicts = []
+    for _ in range(1200):
+        perms = [rng.permutation(4).tolist()
+                 for _ in range(rng.integers(1, 5))]
+        pg = regular_representation(perms)
+        got = intersection_property(pg)
+        assert got == closure_intersection_property(pg), perms
+        verdicts.append(got)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_mulclose_s3():
     gens = [np.array([1, 0, 2]), np.array([0, 2, 1])]
     assert len(mulclose(gens, 100)) == 6
@@ -234,10 +264,23 @@ def test_regular_group_orders():
     pg = a3_group()
     assert pg.regular
     assert pg.order() == 24
-    assert len(subgroup_points(pg, [0, 1])) == 6
-    assert len(subgroup_points(pg, [0, 2])) == 4
-    assert len(subgroup_points(pg, [1])) == 2
-    assert len(subgroup_points(pg, [])) == 1
+    assert np.count_nonzero(subgroup_mask(pg, [0, 1])) == 6
+    assert np.count_nonzero(subgroup_mask(pg, [0, 2])) == 4
+    assert np.count_nonzero(subgroup_mask(pg, [1])) == 2
+    assert np.count_nonzero(subgroup_mask(pg, [])) == 1
+
+
+def test_parabolic_table_against_the_masks():
+    pg = a3_group()
+    code, order = parabolic_table(pg)
+    assert parabolic_table(pg)[0] is code  # memoised on the group
+    assert code.dtype == np.uint8
+    for s in range(8):
+        mask = subgroup_mask(pg, [i for i in range(3) if s >> i & 1])
+        assert order[s] == np.count_nonzero(mask)
+        if bin(s).count("1") == 2:
+            j = (7 ^ s).bit_length() - 1
+            assert np.array_equal(code >> j & 1 == 1, mask)
 
 
 def test_coxeter_matrix_recovered():
@@ -265,7 +308,7 @@ def test_nonregular_group_order():
     with pytest.raises(errors.IncompleteTable):
         pg.order()
     with pytest.raises(errors.IncompleteTable):
-        subgroup_points(pg, [0])
+        subgroup_mask(pg, [0])
     with pytest.raises(errors.IncompleteTable):
         intersection_property(pg)
     assert PermGroup(3, pg.gens, order=6).order() == 6
@@ -274,7 +317,9 @@ def test_nonregular_group_order():
 def test_subgroup_points_needs_a_regular_group():
     pg = PermGroup(3, [np.array([1, 0, 2]), np.array([0, 2, 1])])
     with pytest.raises(errors.IncompleteTable):
-        subgroup_points(pg, [0])
+        subgroup_mask(pg, [0])
+    with pytest.raises(errors.IncompleteTable):
+        parabolic_table(pg)
 
 
 def test_coxeter_relators():
