@@ -33,7 +33,6 @@ two return byte-identical tables; tests/test_toddcox.py checks this.
 """
 
 from bisect import bisect_left
-from itertools import islice
 from operator import itemgetter
 
 import numpy as np
@@ -263,10 +262,10 @@ class _State:
             col[:] = _gather(renum, _gather(col, live))
         position = bisect_left(live, position)
         # no row below the scan position is scanned again: their marks
-        # are left as they are
+        # stay; the view gathering the others is gone before they shrink
+        rows = np.array(live[position:], dtype=np.intp)
         for mark in self.marks:
-            mark[position:] = bytes(map(mark.__getitem__,
-                                        islice(live, position, None)))
+            mark[position:] = np.frombuffer(mark, np.uint8)[rows].tobytes()
         rep[:] = range(len(live))
         self.cap = len(live)
         return position

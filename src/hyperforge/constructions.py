@@ -101,6 +101,13 @@ def _parities(vrow, ngraphs, a, b):
     return side, bip, np.where(full, 2 * (parts != 1 + bip), 1)
 
 
+def _sides(gr):
+    """(side, bipartite) of the one graph gr, raising as parity_classes."""
+    side, bip, fault = _parities(gr.vrow, 1, *_edges(gr))
+    _raise_first(fault)
+    return side, bool(bip[0])
+
+
 def _raise_first(fault):
     """Disconnected for the first faulty graph, as parity_classes."""
     bad = fault[fault > 0]
@@ -298,11 +305,10 @@ def _halve(g, leaf, force, rule):
         if not _b2(g, leaf, res):
             raise PreconditionFailed("B2")
     if rule != "P" or not force:
-        side, bip, fault = _parities(gr.vrow, 1, *_edges(gr))
-        _raise_first(fault)
-        if rule == ("P" if bip[0] else "BP"):
+        side, bip = _sides(gr)
+        if rule == ("P" if bip else "BP"):
             raise PreconditionFailed("Bipartite")
-        rule = "BP" if bip[0] else "P"
+        rule = "BP" if bip else "P"
     return _bp_rule(g, leaf, gr, side) if rule == "BP" else _p_rule(
         g, leaf, gr, _residues(g, leaf) if res is None else res)
 
@@ -458,15 +464,15 @@ def b1b2_propagation(g, leaf, next_leaf, force=False):
     _check_leaf(g, leaf)
     _check_leaf(g, next_leaf)
     k, l = next_leaf
+    res = _residues(g, leaf)
     if not force:
         for pair in (leaf, next_leaf):
             if not check_B1(g, pair):
                 raise PreconditionFailed("B1 at %r" % (pair,))
-            if not check_B2(g, pair):
+            if not _b2(g, pair, res if pair == leaf else _residues(g, pair)):
                 raise PreconditionFailed("B2 at %r" % (pair,))
     if k in leaf or l in leaf:
         return True
-    res = _residues(g, leaf)
     _, bip, fault = _parities(res.vrow, g.nelements, *_edges(res))
 
     def bipartite_at(x):

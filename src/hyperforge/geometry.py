@@ -43,7 +43,9 @@ chambers restricted to the types outside J, and each orbit of
 residually connected exactly when, for every J with |J| >= 2, the
 orbits and the rows number the same (Buekenhout-Cohen, "Diagram
 Geometry", 2013, on chamber systems); the rows are the flags whose
-types are the complement of J, which the scan counted.
+types are the complement of J, which the scan counted.  The orbits of
+J = J' + {j}, j = max J, are the components of the graph on those of J'
+joining those of x and sigma_j(x), as it contracts connected J'-orbits.
 
 The Buekenhout diagram labels the rank-2 residues, which are classes
 of chambers too: those agreeing outside types i, j hold the incident
@@ -68,7 +70,7 @@ from .errors import (
     SelfIncidence, SameTypeIncidence, UnknownElement, NotAFlag,
     NotAGeometry, SizeLimitExceeded, InvalidParams,
 )
-from .perms import edge_labels, orbit_labels
+from .perms import edge_labels
 
 log = logging.getLogger("hyperforge")
 
@@ -452,15 +454,36 @@ def _classes(chambers, cols):
 
 
 def _adjacency(chambers, i):
-    """sigma_i: the permutation of the chambers that cycles each class
-    of chambers agreeing outside type i."""
+    """(sigma_i, labels, count): sigma_i cycles each class of chambers
+    agreeing outside type i upwards; labels numbers the count classes."""
     n, rank = chambers.shape
     order, starts = _classes(chambers, [t for t in range(rank) if t != i])
     succ = np.arange(1, n + 1)
     succ[np.append(starts[1:], n) - 1] = starts
     sigma = np.empty(n, dtype=np.int64)
     sigma[order] = order[succ]
-    return sigma
+    labels = np.empty(n, dtype=np.int32)
+    labels[order] = np.searchsorted(starts, np.arange(n), "right") - 1
+    return sigma, labels, len(starts)
+
+
+def _cotype_orbits(chambers):
+    """(J, number of orbits of <sigma_i : i in J>) for |J| >= 2, in check
+    order, each joined when asked for; J' is dropped once extended last."""
+    n, rank = chambers.shape
+    classes = [_adjacency(chambers, i) for i in range(rank)]
+    # the steps up of sigma_j join each class along a path
+    up = [np.flatnonzero(sigma > np.arange(n)) for sigma, _, _ in classes]
+    orbits = {(i,): classes[i][1:] for i in range(rank - 1)}
+    for J in itertools.chain.from_iterable(itertools.combinations(
+            range(rank), size) for size in range(2, rank + 1)):
+        j = J[-1]
+        labels, count = (orbits.get if j < rank - 1 else orbits.pop)(J[:-1])
+        joined, norbits = edge_labels(labels[up[j]],
+                                      labels[classes[j][0][up[j]]], count)
+        yield J, norbits
+        if j < rank - 1:
+            orbits[J] = joined[labels].astype(np.int32), norbits
 
 
 def is_residually_connected(g):
@@ -471,20 +494,14 @@ def is_residually_connected(g):
     which the scan counted."""
     scan = _require_geometry(g)
     start = time.perf_counter()
-    n, rank = scan.chambers.shape
-    sigma = [_adjacency(scan.chambers, i) for i in range(rank)]
-    full = (1 << rank) - 1
+    full = (1 << g.rank) - 1
     checked = 0
-    for size in range(2, rank + 1):
-        for J in itertools.combinations(range(rank), size):
-            checked += 1
-            _, norbits = orbit_labels([sigma[i] for i in J], n)
-            cotype = sum(1 << i for i in J)
-            if norbits != scan.by_types[full & ~cotype]:
-                log.debug("residual connectedness: False at cotype %s,"
-                          " %d cotypes checked, %.3f s", J, checked,
-                          time.perf_counter() - start)
-                return False
+    for checked, (J, norbits) in enumerate(_cotype_orbits(scan.chambers), 1):
+        if norbits != scan.by_types[full & ~sum(1 << i for i in J)]:
+            log.debug("residual connectedness: False at cotype %s,"
+                      " %d cotypes checked, %.3f s", J, checked,
+                      time.perf_counter() - start)
+            return False
     log.debug("residual connectedness: True, %d cotypes checked, %.3f s",
               checked, time.perf_counter() - start)
     return True
@@ -737,11 +754,14 @@ def to_json(g):
     """The document json.dumps(data, sort_keys=True, indent=1) + "\\n"
     would write for data = {"rank", "elements" [{"id", "type"}],
     "incidences" [[x, y] with x < y, sorted], "provenance" when set},
-    assembled directly."""
-    elements = _json_block(['  {\n   "id": %d,\n   "type": %d\n  }' % et
-                            for et in enumerate(g.type_of)])
-    incidences = _json_block(['  [\n   %d,\n   %d\n  ]' % p
-                              for p in g.incidence_pairs()])
+    assembled directly, one format per list."""
+    x, y = _owners(g), g.indices
+    ends = tuple(np.stack([x[x < y], y[x < y]], 1).ravel().tolist())
+    ids = tuple(itertools.chain(*enumerate(g.type_of)))
+    elements = _json_block(['  {\n   "id": %d,\n   "type": %d\n  }']
+                           * g.nelements) % ids
+    incidences = _json_block(['  [\n   %d,\n   %d\n  ]']
+                             * (len(ends) // 2)) % ends
     out = '{\n "elements": %s,\n "incidences": %s,\n' % (elements,
                                                          incidences)
     if g.provenance is not None:
@@ -759,7 +779,8 @@ def _json_int(value, what):
 
 
 def from_json(text):
-    """Inverse of to_json; malformed input raises InvalidParams."""
+    """Inverse of to_json; malformed input raises InvalidParams.  Only
+    incidences other than a list of int pairs are read value by value."""
     try:
         data = json.loads(text)
         rank = _json_int(data["rank"], "rank")
@@ -774,9 +795,12 @@ def from_json(text):
             raise InvalidParams("malformed geometry JSON: rank %d with %d"
                                 " elements" % (rank, len(elems)))
         types = [t for _, t in elems]
-        pairs = [(_json_int(x, "incidence end"),
-                  _json_int(y, "incidence end"))
-                 for x, y in data["incidences"]]
+        pairs = data["incidences"]
+        if not (type(pairs) is list and set(map(type, pairs)) <= {list}
+                and set(map(len, pairs)) <= {2}
+                and set(map(type, itertools.chain(*pairs))) <= {int}):
+            pairs = [(_json_int(x, "incidence end"),
+                      _json_int(y, "incidence end")) for x, y in pairs]
         return build_geometry(rank, types, pairs,
                               provenance=data.get("provenance"))
     except (KeyError, TypeError, ValueError) as exc:

@@ -159,7 +159,7 @@ def is_flag_transitive(g, action=None, max_elements=None):
             failure = ", %d chamber orbits" % norbits
     elif n:
         near = (chambers == chambers[0]).sum(axis=1) >= g.rank - 1
-        sigma = [geo._adjacency(chambers, i) for i in range(g.rank)]
+        sigma = [geo._adjacency(chambers, i)[0] for i in range(g.rank)]
         labels, _ = orbit_labels(sigma, n)
         firsts = np.unique(labels, return_index=True)[1]
         # chamber 0 heads both lists and needs no search

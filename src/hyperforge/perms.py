@@ -14,8 +14,9 @@ orbit_labels numbers the orbits in order of first occurrence: orbit k
 is the k-th one met in a scan of the points from 0.  It is edge_labels,
 the one connectivity routine of the package, on the edges from each
 point to its images; edge_labels takes any edge list, and labels the
-incidence graph (geometry.is_connected) and the bipartite double
-covers of the vertex-edge graphs (constructions) too.  Subgroup masks
+incidence graph (geometry.is_connected), the chamber orbits joined for
+residual connectedness (geometry) and the bipartite double covers of
+the vertex-edge graphs (constructions) too.  Subgroup masks
 and the parabolic table need a regular group, and so does order() when
 no order was given; on any other group they raise IncompleteTable.
 """

@@ -14,7 +14,7 @@ coincidence processing leaves every live row's entries defined.
 Each kernel hands its finished table over as one bytearray of native
 int32, row-major; CosetTable.table is an int32 view of that buffer,
 with no copy.  Completed tables are verified by replaying every relator
-from every coset and every subgroup word from coset 0.
+from every coset and every subgroup word from coset 0, on CosetTable.gens.
 """
 
 import logging
@@ -57,12 +57,13 @@ class CosetTable:
     """Complete table: table[c][x] = coset c.gen_x; row 0 = subgroup.
 
     table is an (ncosets, ngens) int32 array; from todd_coxeter it is a
-    view of the kernel's buffer."""
+    view of the kernel's buffer.  gens[x] is column x as int64."""
 
     def __init__(self, ngens, table, subgens):
         self.ngens = ngens
         self.table = np.asarray(table, dtype=np.int32)
         self.subgens = tuple(tuple(w) for w in subgens)
+        self.gens = [self.table[:, x].astype(np.int64) for x in range(ngens)]
 
     @property
     def ncosets(self):
@@ -76,22 +77,22 @@ class CosetTable:
 
 
 def _verify(t, relators):
-    idx = np.arange(t.ncosets)
-    cols = [t.table[:, x] for x in range(t.ngens)]
+    gens = t.gens
     for word in relators:
-        cur = idx
+        cur = np.arange(t.ncosets)
         for x in word:
-            cur = cols[x][cur]
-        if not np.array_equal(cur, idx):
+            cur = gens[x][cur]
+        if not np.array_equal(cur, np.arange(t.ncosets)):
             raise IncompleteTable("relator %r does not close" % (word,))
+        del cur  # before the next relator's, and the checks below
     for word in t.subgens:
         c = 0
         for x in word:
-            c = int(cols[x][c])
+            c = int(gens[x][c])
         if c != 0:
             raise IncompleteTable("subgroup word %r leaves coset 0" % (word,))
-    for x, col in enumerate(cols):
-        if not np.array_equal(col[col], idx):
+    for x, gen in enumerate(gens):
+        if not np.array_equal(gen[gen], np.arange(t.ncosets)):
             raise IncompleteTable("generator %d is not an involution" % x)
 
 
@@ -136,9 +137,8 @@ def todd_coxeter(p, subgens=(), max_cosets=None, backend=None):
 
 
 def perm_image(t):
-    """Right action of the generators on cosets, as a PermGroup; its
-    int64 generator arrays are the only copy of the table."""
-    gens = [t.table[:, x].astype(np.int64) for x in range(t.ngens)]
+    """Right action of the generators on cosets, as a PermGroup on
+    t.gens, the int64 arrays the table was verified on."""
     regular = not t.subgens
-    return PermGroup(t.ncosets, gens, regular=regular,
+    return PermGroup(t.ncosets, t.gens, regular=regular,
                      order=t.ncosets if regular else None)

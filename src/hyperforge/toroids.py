@@ -426,13 +426,13 @@ def verify_family(p, depth=0, max_cosets=None):
                   "degenerate_predicted": predict_degenerate_leaf(p)})
     pres = cubic_toroid_presentation(p)
     stage["bipartite_relators"] = relator_parity_bipartite(pres, 0)
-    adj, _ = cons.truncation_graph(g, (0, 1))
-    stage["bipartite_truncation"] = cons.parity_classes(adj).bipartite
+    trunc = cons._graphs(g, (0, 1))
+    stage["bipartite_truncation"] = cons._sides(trunc)[1]
     for key in ("bipartite_relators", "bipartite_truncation"):
         if stage[key] != stage["bipartite_predicted"]:
             diffs.append(("toroid", key, stage["bipartite_predicted"],
                           stage[key]))
-    stage["b1"] = cons.check_B1(g, (0, 1))
+    stage["b1"] = cons._b1(trunc)
     if stage["b1"] != (not stage["degenerate_predicted"]):
         diffs.append(("toroid", "b1_vs_degeneracy",
                       not stage["degenerate_predicted"], stage["b1"]))
@@ -451,7 +451,8 @@ def verify_family(p, depth=0, max_cosets=None):
                                        halved_presentation,
                                        halved_matrix(n), diffs, max_cosets)
         if gh is not None:
-            stage["b1_next_leaf"] = cons.check_B1(gh, (n, n - 1))
+            trunc = cons._graphs(gh, (n, n - 1))
+            stage["b1_next_leaf"] = cons._b1(trunc)
             stage["b2_next_leaf"] = cons.check_B2(gh, (n, n - 1))
             if not (stage["b1_next_leaf"] and stage["b2_next_leaf"]):
                 diffs.append(("halved", "next_leaf_nondegenerate", True,
@@ -460,8 +461,7 @@ def verify_family(p, depth=0, max_cosets=None):
         report["stages"]["halved"] = stage
 
     if depth >= 2 and not diffs:
-        adj2, _ = cons.truncation_graph(gh, (n, n - 1))
-        bp_branch = cons.parity_classes(adj2).bipartite
+        bp_branch = cons._sides(trunc)[1]
         if not bp_branch:
             diffs.append(("double_halved", "bp_branch", True, False))
         _, _, stage = _halving_stage(p, "double_halved", hg, (n, n - 1),

@@ -293,8 +293,9 @@ EDGE = [{"id": 0, "type": 0}, {"id": 1, "type": 1}]
 THREE = [{"id": 0, "type": 0}, {"id": 1, "type": 0}, {"id": 2, "type": 1}]
 
 
-# the first bad pair in input order is named, however large its ends
-@pytest.mark.parametrize("doc,err", [
+# malformed geometries and their errors; the first bad pair in input
+# order is named, however large its ends
+MALFORMED_GEOMETRIES = [
     ({"rank": 1, "elements": [{"id": 0, "type": 0}, {"id": 0, "type": 0}],
       "incidences": []}, "element ids must be dense 0..m-1"),
     ({"rank": 2, "elements": EDGE, "incidences": [[0, 0]]},
@@ -315,10 +316,16 @@ THREE = [{"id": 0, "type": 0}, {"id": 1, "type": 0}, {"id": 2, "type": 1}]
     ({"rank": 2, "elements": THREE,
       "incidences": [[0, 2], [0, 1], [2, 10 ** 30]]},
      "elements 0,1 share type 0"),
-], ids=["duplicate-id", "self-incidence", "same-type-incidence",
-        "incidence-out-of-range", "type-out-of-range", "end-past-int64",
-        "end-below-int64", "end-past-int64-among-small",
-        "same-type-before-out-of-range"])
+]
+MALFORMED_IDS = ["duplicate-id", "self-incidence", "same-type-incidence",
+                 "incidence-out-of-range", "type-out-of-range",
+                 "end-past-int64", "end-below-int64",
+                 "end-past-int64-among-small",
+                 "same-type-before-out-of-range"]
+
+
+@pytest.mark.parametrize("doc,err", MALFORMED_GEOMETRIES,
+                         ids=MALFORMED_IDS)
 def test_check_malformed_geometry(tmp_path, capsys, doc, err):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))

@@ -14,6 +14,7 @@ from hyperforge.iso import isomorphic, automorphism_group, \
 from conftest import make_polygon, relabel_types
 import halving_reference as ref
 from test_geometry import random_incidence_system
+from test_toroids import counted_graphs
 
 
 def cycle(m):
@@ -473,6 +474,20 @@ def test_builders_match_the_dict_reference_on_toroid_stages(toroid_313,
                 residue = geo.residue(stage, [stage.type_of.index(t)])
                 assert_builders_match_reference(residue, seen)
     assert seen["P"] > 0 and seen["BP"] > 0, seen
+
+
+def test_b1b2_propagation_builds_the_leaf_residues_once(monkeypatch,
+                                                       toroid_313):
+    # (B2) at the leaf and the parities share one build of its residue
+    # graphs
+    calls = counted_graphs(monkeypatch)
+    g = toroid_313[1]
+    assert cons.b1b2_propagation(g, (0, 1), (3, 2))
+    assert calls == [((0, 1), False), ((0, 1), True), ((3, 2), True),
+                     ((3, 2), False)]
+    calls.clear()
+    assert cons.b1b2_propagation(g, (0, 1), (3, 2), force=True)
+    assert calls == [((0, 1), False)]
 
 
 def test_b1b2_propagation_matches_the_residue_loop(toroid_313, toroid_314):

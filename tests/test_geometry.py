@@ -759,19 +759,22 @@ def glue(a, b, shared):
     return geo.build_geometry(a.rank, types, pairs)
 
 
-def test_glued_controls(toroid_313):
+def glued_controls(toroid):
+    """(geometry, residually connected) of copies glued along a flag."""
     cube, tet = make_cube(), make_tetrahedron()
-    _, toroid = toroid_313
     # tetrahedron ids 0..3 are its vertices and 4 the edge {0, 1}
     assert tet.type_of[4] == 1 and set(tet.adj[4]) >= {0, 1}
     assert toroid.type_of[0] == 0
-    cases = [
+    return [
         (glue(cube, cube, {}), False),
         (glue(tet, tet, {0: 0}), False),
         (glue(tet, tet, {0: 0, 1: 1, 4: 4}), True),
         (glue(toroid, toroid, {0: 0}), False),
     ]
-    for g, rc in cases:
+
+
+def test_glued_controls(toroid_313):
+    for g, rc in glued_controls(toroid_313[1]):
         assert geo.is_geometry(g)
         assert geo.is_residually_connected(g) is rc
         assert by_definition(g)[2] is rc

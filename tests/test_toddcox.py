@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hyperforge import _tcpure, errors
 from hyperforge.presentations import GroupPresentation, coxeter_presentation
 from hyperforge.toddcox import (
-    todd_coxeter, perm_image, default_max_cosets, DEFAULT_MAX_COSETS,
+    CosetTable, _verify, todd_coxeter, perm_image, default_max_cosets,
+    DEFAULT_MAX_COSETS,
 )
 from hyperforge.toroids import (
     ToroidParams, cubic_toroid_presentation, double_halved_presentation,
@@ -157,10 +158,11 @@ def test_table_is_an_int32_view_of_the_kernel_buffer(backend, request,
 
 def test_handover_holds_no_python_int_list(monkeypatch):
     # traced from the pure kernel's return to the end of perm_image on
-    # the (4,1,3) toroid group (31,104 cosets, 4 generators): 1.79 MB
-    # with the int32 buffer (0.5 MB, the int64 generators, the verify
-    # temporaries); 3.24 MB when the kernel returned a list of Python
-    # ints and todd_coxeter copied it to int64
+    # the (4,1,3) toroid group (31,104 cosets, 5 generators): 2.29 MB
+    # with the int32 buffer (0.6 MB), the int64 generators (1.2 MB),
+    # which the verify replays on, and two index arrays at a time; 3.24
+    # MB when the kernel returned a list of Python ints and todd_coxeter
+    # copied it to int64
     run = _tcpure.enumerate_cosets
 
     def resetting(*args):
@@ -177,6 +179,16 @@ def test_handover_holds_no_python_int_list(monkeypatch):
         tracemalloc.stop()
     assert pg.degree == 31104
     assert peak < 2.5 * 2 ** 20
+
+
+def test_verify_names_the_first_failure():
+    # coset 0 -> 1 -> 1 -> 0 -> 0 -> 1 -> 1 under (0 1)^3
+    with pytest.raises(errors.IncompleteTable, match="relator"):
+        _verify(CosetTable(2, [[1, 0], [0, 1]], []), [(0, 1) * 3])
+    with pytest.raises(errors.IncompleteTable, match="leaves coset 0"):
+        _verify(CosetTable(1, [[1], [0]], [(0,)]), [(0, 0)])
+    with pytest.raises(errors.IncompleteTable, match="not an involution"):
+        _verify(CosetTable(1, [[1], [2], [0]], []), [])
 
 
 @pytest.mark.parametrize("pres, digest", [

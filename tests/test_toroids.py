@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from hyperforge import constructions as cons
 from hyperforge import engine, errors
 from hyperforge import geometry as geo
 from hyperforge import toroids
@@ -203,6 +204,27 @@ def test_one_labelling_per_stage(monkeypatch):
         monkeypatch.setattr(engine, name, counted)
     toroids.verify_family(toroids.ToroidParams(3, 1, 3), depth=2)
     assert calls == {"coset_geometry": 3, "orbit_labels": 12}
+
+
+def counted_graphs(monkeypatch):
+    """The (leaf, whole geometry) of each constructions._graphs call."""
+    calls = []
+    graphs = cons._graphs
+
+    def counted(*args):
+        calls.append((args[1], len(args) == 2))
+        return graphs(*args)
+    monkeypatch.setattr(cons, "_graphs", counted)
+    return calls
+
+
+def test_one_truncation_per_stage(monkeypatch):
+    # the toroid's (0,1) truncation serves its parity and (B1); the
+    # halved geometry's (3,2) truncation its (B1) and the BP branch,
+    # and its residue graphs (B2)
+    calls = counted_graphs(monkeypatch)
+    toroids.verify_family(toroids.ToroidParams(3, 1, 3), depth=2)
+    assert calls == [((0, 1), True), ((3, 2), True), ((3, 2), False)]
 
 
 FAMILY_CELLS = [(3, 1, 3), (3, 1, 4), (3, 2, 2), (3, 2, 3), (3, 2, 4),
