@@ -86,7 +86,9 @@ class _State:
             ks = [k for k, _ in cycle]
             walks[w] = tuple((marks[u], tuple(self.cols[x] for x in w[k:end]))
                              for (k, u), end in zip(cycle, ks[1:] + ks[-1:]))
-        self.relators = [(tuple(self.cols[x] for x in w), marks[w], walks[w])
+        # each relator as its columns, and reversed for the lookahead
+        cols = {w: tuple(self.cols[x] for x in w) for w in marks}
+        self.relators = [(cols[w], cols[w][::-1], marks[w], walks[w])
                          for w in words]
 
     def find(self, c):
@@ -197,7 +199,7 @@ class _State:
         """scan() each relator not marked at c until c dies, and mark
         the cycle of each trace that closes; False as scan()."""
         rep = self.rep
-        for word, mark, walk in self.relators:
+        for word, _, mark, walk in self.relators:
             if mark[c]:
                 continue
             f = c
@@ -221,21 +223,24 @@ class _State:
         for c in range(start, len(rep)):
             if rep[c] != c:
                 continue
-            for word, mark, walk in self.relators:
+            for word, back, mark, walk in self.relators:
                 if mark[c]:
                     continue
                 f = b = c
-                i = 0
-                j = len(word) - 1
-                while i <= j and word[i][f] != UNDEF:
-                    f = word[i][f]
+                i, j = 0, len(word) - 1
+                for col in word:
+                    if col[f] == UNDEF:
+                        break
+                    f = col[f]
                     i += 1
                 if i > j:
                     if f != b:
                         self.coincidence(f, b)
                 else:
-                    while j >= i and word[j][b] != UNDEF:
-                        b = word[j][b]
+                    for col in back:
+                        if j < i or col[b] == UNDEF:
+                            break
+                        b = col[b]
                         j -= 1
                     if j > i:
                         continue
@@ -245,7 +250,11 @@ class _State:
                         self.deduce(f, word[i], b)
                 if rep[c] != c:
                     break
-                self.mark_cycle(c, walk)
+                d = c
+                for m, cols in walk:
+                    m[d] = 1
+                    for col in cols:
+                        d = col[d]
 
     def compact(self, position):
         """Drop dead rows and renumber in definition order, in place so

@@ -6,11 +6,11 @@ identity, generators act by right multiplication.  In that picture
 
   - the parabolic G_i (all generators but i) is the right-orbit of 0,
     and perms.parabolic_table codes each point by the G_i holding it,
-  - right cosets G_i g are the orbits of left multiplication by G_i,
+  - right cosets G_i g are point blocks that the generators permute,
 
-which turns every subgroup computation below into orbit bookkeeping
-on the primitives of perms: values carried along bfs_tree, coset
-labels from orbit_labels, incidences and coset maps from label_pairs.
+which turns every subgroup computation below into orbit bookkeeping:
+values carried along bfs_tree, coset labels by a search over cosets
+(coset_labels), incidences and coset maps from perms.label_pairs.
 Each coset geometry is labelled once; Tits' condition and the coset
 diagram read those labels and the group's parabolic table, and
 isomorphisms of coset geometries are decided on the groups.
@@ -23,15 +23,15 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import InvalidParams, NotAnAction
-from .perms import PermGroup, bfs_tree, label_pairs, orbit_labels, \
-    parabolic_table, require_regular
+from .perms import PermGroup, bfs_tree, label_pairs, parabolic_table, \
+    require_regular, subgroup_mask, orbit_labels  # traced by perfbench
 from . import geometry as geo
 
 log = logging.getLogger("hyperforge")
 
 
 def left_mult_gens(pg):
-    """Left-multiplication permutation of each generator.
+    """Left-multiplication permutations (coset_labels' test oracle).
 
     lam[x][w] = point of rho_x * (element at point w), carried along
     the breadth-first tree from the identity: lam(p.y) = lam(p).y.
@@ -52,6 +52,30 @@ CosetGeometryData = namedtuple("CosetGeometryData",
                                "pg labels_by_type offsets")
 
 
+def coset_labels(pg, i):
+    """Label of the right coset G_i w at each point w, and the number
+    of cosets, by a breadth-first search over cosets from G_i, the
+    points of a subgroup_mask.  gens[x] maps the points of G_i w onto
+    those of G_i w gens[x]: a level's new cosets are the unlabelled
+    images of its blocks, deduped by least point, and the generators
+    reach every coset.  Labels rank the cosets by least point, the
+    order of first occurrence in which orbit_labels numbers the orbits
+    of left multiplication by G_i, the same cosets: the labels agree.
+    """
+    least = np.full(pg.degree, -1, dtype=np.int64)
+    block = np.flatnonzero(subgroup_mask(
+        pg, [x for x in range(pg.ngens) if x != i]))[None]
+    least[block] = 0
+    while len(block):
+        new = np.concatenate([g[block] for g in pg.gens])
+        new = new[least[new[:, 0]] < 0]
+        first, keep = np.unique(new.min(axis=1), return_index=True)
+        block = new[keep]
+        least[block] = first[:, None]
+    roots = np.flatnonzero(least == np.arange(pg.degree))
+    return np.searchsorted(roots, least), len(roots)
+
+
 def coset_geometry(pg):
     """Incidence geometry on the cosets of the maximal parabolics.
 
@@ -61,12 +85,9 @@ def coset_geometry(pg):
     pairs of labels seen at a common point.
     """
     require_regular(pg)
-    n = pg.degree
+    start = time.perf_counter()
     rank = pg.ngens
-    lam = left_mult_gens(pg)
-    labels_by_type, counts = zip(*[
-        orbit_labels([lam[x] for x in range(rank) if x != i], n)
-        for i in range(rank)])
+    labels_by_type, counts = zip(*[coset_labels(pg, i) for i in range(rank)])
     offsets = np.concatenate([[0], np.cumsum(counts)])
     pairs = [np.empty((0, 2), dtype=np.int64)]
     for i in range(rank):
@@ -77,6 +98,9 @@ def coset_geometry(pg):
                            np.concatenate(pairs),
                            provenance={"kind": "coset_geometry"})
     g.coset_data = CosetGeometryData(pg, labels_by_type, offsets)
+    log.debug("coset geometry: %d points, %d elements, %d incidences,"
+              " %.3f s", pg.degree, g.nelements, len(g.indices) // 2,
+              time.perf_counter() - start)
     return g
 
 

@@ -8,15 +8,15 @@ parabolic_table reads the masks of the parabolics into one code per
 point and one order per generator subset, which the heavy checks read.
 
 Every walk over the points of a regular group, here and in engine,
-runs on three array primitives: bfs_tree, orbit_labels and
-label_pairs.  orbit, a Python walk, is the tests' reference.
-orbit_labels numbers the orbits in order of first occurrence: orbit k
-is the k-th one met in a scan of the points from 0.  It is edge_labels,
-the one connectivity routine of the package, on the edges from each
-point to its images; edge_labels takes any edge list, and labels the
-incidence graph (geometry.is_connected), the chamber orbits joined for
-residual connectedness (geometry) and the bipartite double covers of
-the vertex-edge graphs (constructions) too.  Subgroup masks
+runs on bfs_tree, label_pairs or the coset search of
+engine.coset_labels; orbit, a Python walk, is the tests' reference.
+orbit_labels (perm_order, iso's chamber orbits) numbers the orbits in
+order of first occurrence, orbit k being the k-th met in a scan of the
+points from 0.  It is edge_labels, the one connectivity routine of the
+package, on the edges from each point to its images; edge_labels also
+labels the incidence graph (geometry.is_connected), the chamber orbits
+joined for residual connectedness (geometry) and the bipartite double
+covers of the vertex-edge graphs (constructions).  Subgroup masks
 and the parabolic table need a regular group, and so does order() when
 no order was given; on any other group they raise IncompleteTable.
 """
@@ -190,12 +190,19 @@ def parabolic_table(pg):
 
 
 def coxeter_matrix(pg):
-    """p[i][j] = order of gens[i]*gens[j]; diagonal 1."""
+    """p[i][j] = order of gens[i]*gens[j], diagonal 1: in a regular group
+    its cycle length at 0 (g^k = 1 iff g^k fixes 0), else perm_order."""
     n = pg.ngens
     mat = [[1] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            p = perm_order(perm_mul(pg.gens[i], pg.gens[j]))
+            gi, gj = pg.gens[i], pg.gens[j]
+            if pg.regular:
+                p, w = 1, gj[gi[0]]
+                while w:
+                    p, w = p + 1, gj[gi[w]]
+            else:
+                p = perm_order(perm_mul(gi, gj))
             mat[i][j] = p
             mat[j][i] = p
     return tuple(tuple(row) for row in mat)

@@ -9,6 +9,7 @@ import hashlib
 import json
 import logging
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -25,6 +26,7 @@ from hyperforge.presentations import relator_parity_bipartite, \
 from hyperforge.toddcox import todd_coxeter, perm_image
 
 from conftest import relabel_types
+from test_engine import coset_label_mismatches
 
 CELLS = [(n, k, s) for n in (3, 4) for k in (1, 2, n) for s in (2, 3, 4)
          if (k, s) != (1, 2)]
@@ -64,14 +66,21 @@ def envelope_records(lines):
         p = toroids.ToroidParams(n, k, s)
         pres = toroids.cubic_toroid_presentation(p)
         pg = perm_image(todd_coxeter(pres))
-        g = engine.coset_geometry(pg)
+        tracemalloc.start()
+        try:
+            g = engine.coset_geometry(pg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         adj, _ = cons.truncation_graph(g, (0, 1))
         rec = {
             "order": pg.order(),
+            "coset_geometry_peak": peak,
             "relator_bipartite": relator_parity_bipartite(pres, 0),
             "truncation_bipartite": cons.parity_classes(adj).bipartite,
         }
         hg = engine.halving_group(pg, (0, 1))
+        groups = {"toroid": pg, "halved": hg}
         rec["h_order"] = hg.order()
         # presented group vs directly computed subgroup
         rec["halved_diffs"] = []
@@ -80,13 +89,17 @@ def envelope_records(lines):
             rec["halved_diffs"])
         rec["halved_log"] = lines[-1]
         if (k, s) != (2, 2):
-            h2 = engine.halving_group(hg, (n, n - 1))
+            h2 = groups["double_halved"] = engine.halving_group(hg, (n, n - 1))
             rec["h2_order"] = h2.order()
             rec["double_diffs"] = []
             rec["double"] = toroids._agreement(
                 toroids.double_halved_presentation(p), h2, "double_halved",
                 rec["double_diffs"])
             rec["double_log"] = lines[-1]
+        # the oracle's labelling of each group of at most 100,000 points
+        rec["label_mismatches"] = {
+            stage: coset_label_mismatches(group)
+            for stage, group in groups.items() if group.degree <= 100000}
         records[(n, k, s)] = rec
     return records
 
@@ -94,6 +107,23 @@ def envelope_records(lines):
 def test_envelope_orders(envelope):
     for cell in CELLS:
         assert envelope[cell]["order"] == EXPECTED_ORDER[cell], cell
+
+
+def test_envelope_coset_labels_match_the_oracle(envelope):
+    checked = 0
+    for cell in CELLS:
+        for stage, bad in envelope[cell]["label_mismatches"].items():
+            assert bad == [], (cell, stage)
+            checked += 1
+    # 46 groups, less the three toroids and three halvings above 100,000
+    assert checked == 40
+
+
+def test_coset_geometry_memory(envelope):
+    # traced peak of coset_geometry on the (4,1,4) toroid group, 98,304
+    # points: 9.6 MB with the labels from a search over cosets, 21.4 MB
+    # when orbit_labels labelled the orbits of the left multiplications
+    assert envelope[(4, 1, 4)]["coset_geometry_peak"] < 12 * 2 ** 20
 
 
 def test_toroid_313_is_a_regular_polytope(toroid_313):

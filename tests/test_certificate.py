@@ -27,6 +27,7 @@ from hyperforge.presentations import coxeter_presentation
 from hyperforge.toddcox import todd_coxeter, perm_image
 
 from test_constructions import b2_by_definition
+from test_engine import coset_label_mismatches
 from test_perms_presentations import closure_intersection_property
 
 # the envelope cells with at most 50,000 chambers
@@ -164,6 +165,7 @@ def test_tits_condition_on_triangle_quotients():
             except errors.Overflow:
                 continue
             c_group = involutions(pg) and intersection_property(pg)
+            assert coset_label_mismatches(pg) == [], (m, e)
             g = engine.coset_geometry(pg)
             tits = engine.tits_condition(g)
             assert tits == _flag_transitive(g), (m, e)

@@ -1,16 +1,21 @@
+import logging
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hyperforge import engine
 from hyperforge import errors
 from hyperforge import geometry as geo
 from hyperforge.iso import isomorphic, is_flag_transitive
-from hyperforge.perms import orbit, subgroup_mask
+from hyperforge.perms import orbit, orbit_labels, subgroup_mask
 from hyperforge.presentations import coxeter_presentation
 from hyperforge.toddcox import todd_coxeter, perm_image
 from hyperforge.toroids import ToroidParams, cubic_toroid_presentation
 
-from conftest import relabel_types
+from conftest import hemicube_group, relabel_types
+from test_toddcox import enumerations
 
 A3 = ((1, 3, 2), (3, 1, 3), (2, 3, 1))
 B3 = ((1, 4, 2), (4, 1, 3), (2, 3, 1))
@@ -50,6 +55,47 @@ def test_coset_geometry_of_cube_group(cube_group, cube):
 def test_coset_geometry_of_simplex_group(simplex_group, tetrahedron):
     g = engine.coset_geometry(simplex_group)
     assert isomorphic(g, tetrahedron)
+
+
+def coset_label_mismatches(pg):
+    """The types whose engine.coset_labels differ, in labels, dtype or
+    count, from orbit_labels on the left multiplications by the other
+    generators, the labelling that coset_labels replaced."""
+    lam = engine.left_mult_gens(pg)
+    bad = []
+    for i in range(pg.ngens):
+        want, count = orbit_labels([lam[x] for x in range(pg.ngens)
+                                    if x != i], pg.degree)
+        got, n = engine.coset_labels(pg, i)
+        if n != count or got.dtype != want.dtype or \
+                not np.array_equal(got, want):
+            bad.append(i)
+    return bad
+
+
+def test_coset_labels_match_orbit_labels(cube_group, simplex_group):
+    for pg in (cube_group, simplex_group, hemicube_group()):
+        assert coset_label_mismatches(pg) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(enumerations())
+def test_coset_labels_on_random_coxeter_quotients(case):
+    m, extra, _, _, _ = case
+    try:
+        pg = perm_image(todd_coxeter(coxeter_presentation(m, extra=extra),
+                                     max_cosets=2000))
+    except errors.Overflow:
+        return
+    assert coset_label_mismatches(pg) == []
+
+
+def test_coset_geometry_logs_one_line(cube_group, caplog):
+    with caplog.at_level(logging.DEBUG, logger="hyperforge"):
+        engine.coset_geometry(cube_group)
+    line, = [r.getMessage() for r in caplog.records]
+    assert re.fullmatch(r"coset geometry: 48 points, 26 elements, "
+                        r"72 incidences, \d+\.\d{3} s", line)
 
 
 def test_requires_regular():

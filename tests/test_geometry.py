@@ -837,12 +837,14 @@ def test_diagrams_are_logged(caplog, toroid_313):
     geo.buekenhout_diagram(make_cube())
     engine.coset_diagram(engine.coset_geometry(toroid_313[0]))
     lines = [r.getMessage() for r in caplog.records]
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert lines[0].startswith("flag scan: 147 flags, 48 chambers,")
     # the cube's 6 faces, 12 edges and 8 vertices, all distinct
     assert lines[1].startswith("diagram: 3 type pairs, 26 residues,"
                                " 26 distinct labelled, ")
-    assert lines[2].startswith("coset diagram: 6 type pairs, 6 residues,"
+    assert lines[2].startswith("coset geometry: 1296 points, 216 elements,"
+                               " 1512 incidences, ")
+    assert lines[3].startswith("coset diagram: 6 type pairs, 6 residues,"
                                " 6 distinct labelled, ")
     for line in lines[1:]:
         assert line.endswith(" s")

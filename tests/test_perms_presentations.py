@@ -287,6 +287,46 @@ def test_coxeter_matrix_recovered():
     assert coxeter_matrix(a3_group()) == A3_MATRIX
 
 
+def cyclic_group(m, shifts):
+    """Regular representation of Z_m: point a is a, and the generator
+    of shift c maps a to a + c; shift 1 comes first."""
+    points = np.arange(m)
+    return PermGroup(m, [(points + c) % m for c in [1, *shifts]],
+                     regular=True)
+
+
+def dihedral_group(m, elements):
+    """Regular representation of D_m: point 2a + b is r^a s^b, and the
+    generator (c, d) multiplies on the right by r^c s^d, which maps
+    r^a s^b to r^(a + (-1)^b c) s^(b + d); r and s come first."""
+    a, b = np.divmod(np.arange(2 * m), 2)
+    return PermGroup(2 * m, [2 * ((a + (1 - 2 * b) * c) % m) + (b + d) % 2
+                             for c, d in [(1, 0), (0, 1), *elements]],
+                     regular=True)
+
+
+@given(st.integers(1, 40), st.lists(st.tuples(st.integers(0, 39),
+                                              st.integers(0, 1)),
+                                    max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_coxeter_matrix_of_regular_groups_against_perm_order(m, elements):
+    # most generators are not involutions; the oracle reads every
+    # product's order off all of its cycles, as for a group that is
+    # not regular
+    for pg in (cyclic_group(m, [c for c, _ in elements]),
+               dihedral_group(m, elements)):
+        oracle = PermGroup(pg.degree, pg.gens)
+        assert coxeter_matrix(pg) == coxeter_matrix(oracle)
+
+
+def test_coxeter_matrix_of_a_group_that_is_not_regular():
+    # the first product, (1 2), fixes point 0 but has order 2
+    swap = np.array([0, 2, 1, 3])
+    four = np.array([1, 2, 3, 0])
+    pg = PermGroup(4, [swap, np.arange(4), four])
+    assert coxeter_matrix(pg) == ((1, 2, 3), (2, 1, 4), (3, 4, 1))
+
+
 def test_intersection_property_holds_for_coxeter_group():
     assert intersection_property(a3_group())
 

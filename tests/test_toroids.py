@@ -193,9 +193,11 @@ def test_verify_family_513_depth2(compiled_kernel, caplog):
 
 def test_one_labelling_per_stage(monkeypatch):
     # depth 2 builds one coset geometry per stage, labels each of its
-    # four types once, and labels nothing again for Tits' condition
+    # four types once by a search over cosets, labels nothing again for
+    # Tits' condition, and builds no left multiplications
     calls = {}
-    for name in ("coset_geometry", "orbit_labels"):
+    for name in ("coset_geometry", "coset_labels", "orbit_labels",
+                 "left_mult_gens"):
         calls[name] = 0
 
         def counted(*args, _name=name, _fn=getattr(engine, name)):
@@ -203,7 +205,8 @@ def test_one_labelling_per_stage(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(engine, name, counted)
     toroids.verify_family(toroids.ToroidParams(3, 1, 3), depth=2)
-    assert calls == {"coset_geometry": 3, "orbit_labels": 12}
+    assert calls == {"coset_geometry": 3, "coset_labels": 12,
+                     "orbit_labels": 0, "left_mult_gens": 0}
 
 
 def counted_graphs(monkeypatch):
