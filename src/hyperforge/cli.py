@@ -6,6 +6,7 @@ byte-identical JSON and DOT files.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -166,7 +167,9 @@ def cmd_verify_family(args):
     return code
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    # once per process: parse_args keeps no state in the parser
     ap = argparse.ArgumentParser(
         prog="hyperforge",
         description="incidence geometries, halving constructions and "

@@ -49,6 +49,18 @@ def default_max_cosets():
                             % env)
 
 
+def coset_limit(max_cosets=None):
+    """max_cosets, or else default_max_cosets(), within the bounds."""
+    if max_cosets is None:
+        max_cosets = default_max_cosets()
+    if max_cosets < 1:
+        raise InvalidParams("max_cosets must be positive")
+    if max_cosets > MAX_COSETS_BOUND:
+        raise InvalidParams("max_cosets must be at most %d"
+                            % MAX_COSETS_BOUND)
+    return max_cosets
+
+
 def backend_name():
     return "compiled" if _tccore is not None else "pure"
 
@@ -76,35 +88,35 @@ class CosetTable:
         return "\n".join(lines) + "\n"
 
 
-def _verify(t, relators):
-    gens = t.gens
+def check_relators(gens, relators):
+    """Raise IncompleteTable unless each of the int64 arrays gens is an
+    involution and every relator closes at every point."""
+    ident = np.arange(len(gens[0]))
+    for x, gen in enumerate(gens):
+        if not np.array_equal(gen[gen], ident):
+            raise IncompleteTable("generator %d is not an involution" % x)
     for word in relators:
-        cur = np.arange(t.ncosets)
+        cur = ident
         for x in word:
             cur = gens[x][cur]
-        if not np.array_equal(cur, np.arange(t.ncosets)):
+        if not np.array_equal(cur, ident):
             raise IncompleteTable("relator %r does not close" % (word,))
-        del cur  # before the next relator's, and the checks below
+        del cur  # before the next relator's
+
+
+def _verify(t, relators):
+    check_relators(t.gens, relators)
     for word in t.subgens:
         c = 0
         for x in word:
-            c = int(gens[x][c])
+            c = int(t.gens[x][c])
         if c != 0:
             raise IncompleteTable("subgroup word %r leaves coset 0" % (word,))
-    for x, gen in enumerate(gens):
-        if not np.array_equal(gen[gen], np.arange(t.ncosets)):
-            raise IncompleteTable("generator %d is not an involution" % x)
 
 
 def todd_coxeter(p, subgens=(), max_cosets=None, backend=None):
     """Enumerate cosets of <subgens> in the presented group."""
-    if max_cosets is None:
-        max_cosets = default_max_cosets()
-    if max_cosets < 1:
-        raise InvalidParams("max_cosets must be positive")
-    if max_cosets > MAX_COSETS_BOUND:
-        raise InvalidParams("max_cosets must be at most %d"
-                            % MAX_COSETS_BOUND)
+    max_cosets = coset_limit(max_cosets)
     subgens = [tuple(int(x) for x in w) for w in subgens]
     for w in subgens:
         if any(x < 0 or x >= p.ngens for x in w):

@@ -2,11 +2,12 @@
 
 The toroids are the quotients of the cubic tessellation of n-space by
 the translation lattice generated by (s^k, 0^(n-k)) with k in {1,2,n}.
-Their symmetry groups come from one extra relator on top of the linear
-Coxeter diagram 4-3-...-3-4; the halving subgroups have their own
-closed-form presentations on Y- and cycle-shaped diagrams, which
-verify_family cross-checks against direct subgroup computation by
-the index of a finite parabolic (see _agreement).
+Their symmetry groups, presented by one extra relator on top of the
+linear Coxeter diagram 4-3-...-3-4, are built in closed form and proven
+equal to the presented group by the index of a finite parabolic
+(_closed_form_group); the halving subgroups have closed-form
+presentations on Y- and cycle-shaped diagrams, which verify_family
+checks against direct subgroup computation by the same index.
 
 Every stage is certified a regular hypertope on the group side, by
 the same argument at every size: a C-group whose coset geometry
@@ -14,17 +15,20 @@ satisfies Tits' flag-transitivity condition (see _certify).
 """
 
 import logging
+import math
 import time
+from itertools import permutations, product
 
 import numpy as np
 
 from .errors import InvalidParams, UnsupportedCase, PropertyViolation, \
-    MismatchReport, Overflow
+    MismatchReport, Overflow, IncompleteTable
 from .presentations import GroupPresentation, coxeter_presentation, \
     relator_parity_bipartite
-from .toddcox import todd_coxeter, perm_image
+from .toddcox import todd_coxeter, perm_image, coset_limit, check_relators
 from .geometry import diagram_shape
-from .perms import coxeter_matrix, intersection_property, involutions
+from .perms import PermGroup, coxeter_matrix, intersection_property, \
+    involutions, orbit_labels
 from . import engine
 from . import constructions as cons
 
@@ -282,11 +286,112 @@ def _diagram_fields(g, expected):
             "diagram_matches": shape == want}
 
 
+def _class_radix(p):
+    """Radices of the classes of Z^n/L, for L = sZ^n (k = 1), s D_n
+    (k = 2) or s(2Z^n + Z(1, ..., 1)) (k = n): class t has the least
+    representative with coordinates t // prod(radix[:i]) % radix[i]."""
+    n, k, s = p.n, p.k, p.s
+    return [2 * s if (k == 2 and i == 0) or (k == n and i > 0) else s
+            for i in range(n)]
+
+
+def toroid_factors(p):
+    """(sigma, tau) of the toroid group, that of the tessellation's maps
+    v -> Av + b modulo L (McMullen-Schulte, Abstract Regular Polytopes,
+    2002, 6D): rho_0: x_1 -> 1 - x_1, rho_j: x_j <-> x_(j+1), rho_n:
+    x_n -> -x_n.  w -> rho_x w sends (A, b) to (A_x A, A_x b + b_x), so
+    sigma[x] acts on the signed permutations A, numbered by A(1, ..., n)
+    identity first, and tau[x] on the classes b (_class_radix)."""
+    n, k, s = p.n, p.k, p.s
+    a = (np.array(list(permutations(range(1, n + 1))))[:, None]
+         * np.array(list(product((1, -1), repeat=n)))).reshape(-1, n)
+    code = (2 * n + 1) ** np.arange(n)
+    keys = (a + n) @ code
+    order = np.argsort(keys)
+    radix = _class_radix(p)
+    place = np.cumprod([1] + radix[:-1])
+    b = np.arange(math.prod(radix))[:, None] // place % radix
+    sigma, tau = [], []
+    for x in range(n + 1):
+        cols, sign = np.arange(n), np.ones(n, dtype=np.int64)
+        if 0 < x < n:
+            cols[x - 1:x + 1] = x, x - 1
+        else:
+            sign[max(x - 1, 0)] = -1
+        keyed = (a[:, cols] * sign + n) @ code
+        sigma.append(order[np.searchsorted(keys, keyed, sorter=order)])
+        v = b[:, cols] * sign + (x == 0) * (cols == 0)
+        if k == 2:  # less s(q_1, ..., q_n): q_i = v_i // s, even sum
+            v[:, 0] += s * (v[:, 1:] // s).sum(axis=1)
+        elif k == n:  # less s(1, ..., 1) v_1 // s
+            v -= s * (v[:, :1] // s)
+        tau.append(v % radix @ place)
+    return np.array(sigma), np.array(tau)
+
+
+def _parabolic_orders(pres, order, max_cosets):
+    """([P : K], |P_K|), within max_cosets and order cosets, for the
+    group P that pres presents, K = <x_1, ..., x_n> and P_K the group
+    that the relators without x_0 present.  K satisfies those, so
+    |P| <= [P : K] |P_K| (Holt-Eick-O'Brien, Handbook of Computational
+    Group Theory, 2005, ch. 5).  Raises Overflow."""
+    sub = GroupPresentation(pres.ngens - 1, [
+        tuple(x - 1 for x in w) for w in pres.relators if 0 not in w])
+    order_k = todd_coxeter(sub, max_cosets=order).ncosets
+    index = todd_coxeter(pres, subgens=[(x,) for x in range(
+        1, pres.ngens)], max_cosets=max_cosets).ncosets
+    return index, order_k
+
+
+def _closed_form_group(pres, sigma, tau, max_cosets, context):
+    """The group Q on the M * N pairs (a, t), numbered a * N + t, whose
+    generator x acts as sigma[x] on a and tau[x] on t, proven regular
+    and isomorphic by x -> x to the group P that pres presents:
+      (a) there is one sigma[x] and tau[x] per generator of pres, each
+          an involution, and every relator closes on each factor, hence
+          on the pairs: P maps onto Q and |Q| <= |P|;
+      (b) tau[x] fixes 0 for x >= 1, <tau> is transitive on the N
+          classes and <sigma[1:]> on the M values of a, so the orbit of
+          (0, 0) holds every (a, 0), and then every (a, t): Q is
+          transitive and |Q| >= M * N;
+      (c) [P : K] |P_K| = M * N, so |P| <= M * N (_parabolic_orders).
+    Then M * N <= |Q| <= |P| <= M * N.  Raises PropertyViolation naming
+    the failed step, or Overflow."""
+    start = time.perf_counter()
+    m, nc = sigma.shape[1], tau.shape[1]
+    union = list(np.hstack([sigma, tau + m]))  # of the two factors
+    try:
+        if len(union) != pres.ngens:
+            raise IncompleteTable("%d generators" % len(union))
+        check_relators(union, pres.relators)
+    except IncompleteTable as exc:
+        raise PropertyViolation("%s: step (a) fails: %s" % (context, exc))
+    if tau[1:, 0].any() or orbit_labels(list(tau), nc)[1] != 1 or \
+            orbit_labels(list(sigma[1:]), m)[1] != 1:
+        raise PropertyViolation("%s: step (b) fails: the factors are not"
+                                " transitive" % context)
+    index, order_k = _parabolic_orders(pres, m * nc, max_cosets)
+    if index * order_k != m * nc:
+        raise PropertyViolation("%s: step (c) fails: index %d times |P_K|"
+                                " %d is not %d" % (context, index, order_k,
+                                                   m * nc))
+    gens = (sigma[:, :, None] * nc + tau[:, None, :]).reshape(len(sigma), -1)
+    log.debug("%s: closed form certified by parabolic index, index %d, "
+              "|P_K| %d, order %d, %.3f s", context, index, order_k, m * nc,
+              time.perf_counter() - start)
+    return PermGroup(m * nc, gens, order=m * nc, regular=True)
+
+
 def build_cubic_toroid(p, max_cosets=None):
-    """Enumerate the toroid group and its coset geometry; certify the
-    regular hypertope and check the linear diagram 4-3-...-3-4."""
-    pg = perm_image(todd_coxeter(cubic_toroid_presentation(p),
-                                 max_cosets=max_cosets))
+    """The toroid group in closed form (_closed_form_group; Overflow past
+    max_cosets, before any array is built) and its coset geometry, with
+    the hypertope certificate and the linear diagram 4-3-...-3-4."""
+    max_cosets = coset_limit(max_cosets)
+    if 2 ** p.n * math.factorial(p.n) * math.prod(_class_radix(p)) \
+            > max_cosets:
+        raise Overflow(max_cosets)
+    pg = _closed_form_group(cubic_toroid_presentation(p), *toroid_factors(p),
+                            max_cosets, "toroid %r" % (p,))
     g = engine.coset_geometry(pg)
     _certify(g, "toroid %r" % (p,))
     if coxeter_matrix(pg) != linear_matrix(p.n):
@@ -308,15 +413,10 @@ def _parabolic_index(pres, hg, max_cosets):
             c = int(hg.gens[x][c])
         if c != 0:
             return None, None
-    sub = GroupPresentation(pres.ngens - 1, [
-        tuple(x - 1 for x in w) for w in pres.relators if 0 not in w])
     try:
-        order_k = todd_coxeter(sub, max_cosets=hg.order()).ncosets
-        index = todd_coxeter(pres, subgens=[(x,) for x in range(
-            1, pres.ngens)], max_cosets=max_cosets).ncosets
+        return _parabolic_orders(pres, hg.order(), max_cosets)
     except Overflow:
         return None, None
-    return index, order_k
 
 
 def _full_agreement(pres, hg, context, diffs, max_cosets=None):
@@ -349,15 +449,10 @@ def _agreement(pres, hg, context, diffs, max_cosets=None):
          square relators of pres) and every relator of pres sends
          point 0 to 0, hence is trivial in hg.  So the map is a
          homomorphism, onto since the gens generate hg: |G| >= |hg|.
-      2. K = <x_1, ..., x_n> satisfies the relators of pres on those
-         letters, so it is a quotient of the group P_K they present
-         and |K| <= |P_K| (enumerated within |hg| cosets).
-      3. Enumerating the cosets of K in G gives its index.
-      4. If index * |P_K| = |hg|, then |G| = index * |K| <= |hg|, so
-         the map is a bijection.
-    This is coset enumeration over a subgroup of bounded order
-    (Holt-Eick-O'Brien, Handbook of Computational Group Theory, 2005,
-    ch. 5).  When a step fails or overflows, the presentation is
+      2. If index * |P_K| = |hg|, with K = <x_1, ..., x_n> and P_K as
+         in _parabolic_orders (within |hg| cosets), then |G| <= |hg|,
+         so the map is a bijection.
+    When a step fails or overflows, the presentation is
     enumerated whole and compared field by field (_full_agreement).
     Logs which of the two certificates decided.
     """

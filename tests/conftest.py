@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sysconfig
 
+import numpy as np
 import pytest
 
 from hyperforge import geometry as geo
@@ -111,6 +112,48 @@ def make_two_cubes():
     pairs = cube.incidence_pairs() + [(ids[x], ids[y])
                                       for x, y in cube.incidence_pairs()]
     return geo.build_geometry(3, types, pairs)
+
+
+def standard_order(pg):
+    """The generators of a transitive group renumbered in the standard
+    coset-table order, as an (ngens, degree) array: a row scan from
+    point 0 numbers each new image in the order of (its parent's new
+    number, generator) (Sims, Computation with Finitely Presented
+    Groups, 1994).  Two regular groups on the same generators are equal
+    exactly when these arrays are.  The scan is breadth-first: a level
+    lists its points by first occurrence among the images of the last
+    level, parent by parent and generator by generator."""
+    new = np.full(pg.degree, -1, dtype=np.int64)
+    new[0] = 0
+    level, count = np.zeros(1, dtype=np.int64), 1
+    while level.size:
+        images = np.stack([g[level] for g in pg.gens], axis=1).ravel()
+        images = images[new[images] < 0]
+        _, first = np.unique(images, return_index=True)
+        level = images[np.sort(first)]
+        new[level] = np.arange(count, count + level.size)
+        count += level.size
+    assert count == pg.degree
+    out = np.empty((pg.ngens, pg.degree), dtype=np.int64)
+    for x, g in enumerate(pg.gens):
+        out[x, new] = new[g]
+    return out
+
+
+def closed_form_group(cell):
+    """The closed-form toroid group of the cell, certified, without its
+    coset geometry."""
+    p = toroids.ToroidParams(*cell)
+    return toroids._closed_form_group(
+        toroids.cubic_toroid_presentation(p), *toroids.toroid_factors(p),
+        toddcox.coset_limit(), "toroid %r" % (p,))
+
+
+def hlt_toroid_geometry(cell):
+    """The coset geometry of the cell's toroid group enumerated by HLT,
+    the route of build coset."""
+    pres = toroids.cubic_toroid_presentation(toroids.ToroidParams(*cell))
+    return engine.coset_geometry(perm_image(todd_coxeter(pres)))
 
 
 def hemicube_group():

@@ -12,6 +12,7 @@ import random
 import tracemalloc
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from hyperforge import constructions as cons
@@ -20,12 +21,13 @@ from hyperforge import engine
 from hyperforge import geometry as geo
 from hyperforge import iso
 from hyperforge import toroids
-from hyperforge.perms import intersection_property
+from hyperforge.perms import PermGroup, intersection_property
 from hyperforge.presentations import relator_parity_bipartite, \
     coxeter_presentation
 from hyperforge.toddcox import todd_coxeter, perm_image
 
-from conftest import relabel_types
+from conftest import relabel_types, standard_order, closed_form_group, \
+    hlt_toroid_geometry
 from test_engine import coset_label_mismatches
 
 CELLS = [(n, k, s) for n in (3, 4) for k in (1, 2, n) for s in (2, 3, 4)
@@ -96,6 +98,10 @@ def envelope_records(lines):
                 toroids.double_halved_presentation(p), h2, "double_halved",
                 rec["double_diffs"])
             rec["double_log"] = lines[-1]
+        # the closed-form group against HLT's, both in the standard
+        # coset-table order
+        rec["closed_form_equals_hlt"] = np.array_equal(
+            standard_order(pg), standard_order(closed_form_group((n, k, s))))
         # the oracle's labelling of each group of at most 100,000 points
         rec["label_mismatches"] = {
             stage: coset_label_mismatches(group)
@@ -117,6 +123,35 @@ def test_envelope_coset_labels_match_the_oracle(envelope):
             checked += 1
     # 46 groups, less the three toroids and three halvings above 100,000
     assert checked == 40
+
+
+def test_closed_form_equals_hlt_on_the_envelope(envelope):
+    for cell in CELLS:
+        assert envelope[cell]["closed_form_equals_hlt"], cell
+
+
+@pytest.mark.parametrize("cell", [(3, 1, 2), (4, 1, 2)],
+                         ids=lambda c: "%d%d%d" % c)
+def test_closed_form_equals_hlt_on_the_degenerate_cells(cell):
+    # (k, s) = (1, 2), outside the envelope: the toroid, not its halving
+    pres = toroids.cubic_toroid_presentation(toroids.ToroidParams(*cell))
+    hlt = perm_image(todd_coxeter(pres))
+    assert np.array_equal(standard_order(hlt),
+                          standard_order(closed_form_group(cell)))
+
+
+def test_standard_order_tells_groups_apart(toroid_313):
+    # the oracle tells two generators swapped from the group, and not
+    # the same generators on other point numbers
+    pg, _ = toroid_313
+    table = standard_order(pg)
+    swapped = PermGroup(pg.degree, [pg.gens[1], pg.gens[0]] + pg.gens[2:])
+    assert not np.array_equal(standard_order(swapped), table)
+    shuffle = np.random.default_rng(5).permutation(pg.degree)
+    shuffle[shuffle == 0], shuffle[0] = shuffle[0], 0
+    inverse = np.argsort(shuffle)
+    renamed = PermGroup(pg.degree, [shuffle[g[inverse]] for g in pg.gens])
+    assert np.array_equal(standard_order(renamed), table)
 
 
 def test_coset_geometry_memory(envelope):
@@ -413,7 +448,8 @@ def test_family_double_halving_is_always_bipartite(family_reports):
 
 
 # sha256 of outputs that must stay byte-identical while the internals
-# are refactored: the P and BP halvings, a DOT diagram and the
+# are refactored: the P and BP halvings of the toroid groups that HLT
+# enumerates (the route of build coset), a DOT diagram and the
 # verify_family reports
 GOLDEN_DIGESTS = {
     "halve_313": "f2bb8073e44b65a311390095f9142b78"
@@ -433,9 +469,9 @@ GOLDEN_DIGESTS = {
 }
 
 
-# sha256 of more halvings, taken before H(Gamma) was built on the
-# incidence arrays: the P rule on (3,3,3), the BP rule on (4,2,2), and
-# the second halvings, at (n,n-1), of (3,1,3) and (3,1,4)
+# sha256 of more halvings of HLT's toroid groups, taken before H(Gamma)
+# was built on the incidence arrays: the P rule on (3,3,3), the BP rule
+# on (4,2,2), and the second halvings, at (n,n-1), of (3,1,3) and (3,1,4)
 HALVING_DIGESTS = {
     ((3, 3, 3), "P"): "3084ff0448d425bb66a942d5f504c9c7"
                       "8f2c04f318cc7df9757405217115d0dc",
@@ -448,35 +484,63 @@ HALVING_DIGESTS = {
 }
 
 
+# the same halvings of the closed-form toroid groups of
+# build_cubic_toroid, whose points are numbered otherwise
+CLOSED_FORM_DIGESTS = {
+    ((3, 1, 3), "P"): "7a73a552e635f7e7cfd19feecc1b3aee"
+                      "6ea250680f0a87c7f25f1600811c7b22",
+    ((3, 1, 4), "BP"): "7e46703026f03936ae0181e526e5b17d"
+                       "89e8620aa089caa7068c65b9f1e16e14",
+    ((3, 3, 3), "P"): "faae4feb776841c25df2c73f8563d829"
+                      "5e447c620dafc14b70561fbd6a0d89db",
+    ((4, 2, 2), "BP"): "88ed3ee9d070785afab09f9a17c4ca89"
+                       "2233ade5e14f750ce417e3bd47550687",
+    ((3, 1, 3), "P", "BP"): "51c20910dafb188ccbbb516e8def58e3"
+                            "2b80a36b26f169f83dc707f13b798a85",
+    ((3, 1, 4), "BP", "BP"): "e7984b2f0c02701e17d39f6ae9188c09"
+                             "39a908567f6a282453c5d90901b09f15",
+}
+
+
 def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_halving_digests(toroid_313, toroid_314):
+def halving_digests(toroid, keys):
+    """sha256 of each halving named by keys, (cell, kind of the (0,1)
+    halving[, kind of the (n,n-1) halving of that]), on the toroid
+    geometries that toroid(cell) gives."""
     got = {}
-    built = {(3, 1, 3): toroid_313, (3, 1, 4): toroid_314}
-    for key in HALVING_DIGESTS:
+    for key in keys:
         params, kinds = key[0], key[1:]
-        if params not in built:
-            built[params] = toroids.build_cubic_toroid(
-                toroids.ToroidParams(*params))
-        h = built[params][1]
+        h = toroid(params)
         # the kinds the halvings at (0,1), then (n,n-1), must take
         for leaf, kind in zip(((0, 1), (params[0], params[0] - 1)), kinds):
             h = cons.halving_geometry(h, leaf)
             assert h.construction.kind == kind, key
         got[key] = _digest(geo.to_json(h))
-    assert got == HALVING_DIGESTS
+    return got
 
 
-def test_golden_output_digests(toroid_313, toroid_314, family_reports):
+def test_halving_digests():
+    assert halving_digests(hlt_toroid_geometry, HALVING_DIGESTS) \
+        == HALVING_DIGESTS
+
+
+def test_closed_form_halving_digests():
+    def toroid(cell):
+        return toroids.build_cubic_toroid(toroids.ToroidParams(*cell))[1]
+    assert halving_digests(toroid, CLOSED_FORM_DIGESTS) \
+        == CLOSED_FORM_DIGESTS
+
+
+def test_golden_output_digests(toroid_313, family_reports):
     _, g313 = toroid_313
-    _, g314 = toroid_314
     got = {
-        "halve_313": _digest(geo.to_json(cons.halving_geometry(g313,
-                                                               (0, 1)))),
-        "halve_314": _digest(geo.to_json(cons.halving_geometry(g314,
-                                                               (0, 1)))),
+        "halve_313": _digest(geo.to_json(cons.halving_geometry(
+            hlt_toroid_geometry((3, 1, 3)), (0, 1)))),
+        "halve_314": _digest(geo.to_json(cons.halving_geometry(
+            hlt_toroid_geometry((3, 1, 4)), (0, 1)))),
         "dot_313": _digest(dot.diagram_to_dot(g313)),
     }
     for cell, report in family_reports.items():

@@ -52,6 +52,27 @@ def test_build_overflow():
                 "--n", "3", "--k", "2", "--s", "2"]) == 3
 
 
+def test_main_calls_share_no_state(tmp_path, capsys):
+    # one parser serves every call; the options of a call, here
+    # verify-family's --n, --k, --s and -o and the global --max-cosets,
+    # do not carry over to the next one
+    assert cli.build_parser() is cli.build_parser()
+    out = tmp_path / "family.json"
+    assert run(["--max-cosets", "100000", "verify-family", "--n", "3",
+                "--k", "2", "--s", "2", "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["build", "toroid", "--n", "3"]) == 2
+    assert capsys.readouterr().err == \
+        "usage error: build toroid needs --n, --k and --s\n"
+    assert run(["build", "toroid", "--n", "3", "--k", "2", "--s", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 4
+    assert run(["--max-cosets", "10", "build", "toroid", "--n", "3",
+                "--k", "2", "--s", "2"]) == 3
+    assert run(["build", "toroid", "--n", "3", "--k", "2", "--s", "2",
+                "-o", str(tmp_path / "t.json")]) == 0
+    assert json.loads(out.read_text())["ok"] is True
+
+
 def test_build_from_presentation(tmp_path):
     pfile = tmp_path / "pres.json"
     pfile.write_text(pres.to_json(cubic_toroid_presentation(

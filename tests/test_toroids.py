@@ -90,15 +90,69 @@ def test_build_checks_pass():
 
 
 def test_certificate_is_logged(caplog):
+    # the group is certified by two small enumerations, P_K (B_3, 48
+    # cosets) and the 16 cosets of K, and no enumeration of the group
     with caplog.at_level(logging.DEBUG, logger="hyperforge"):
         toroids.build_cubic_toroid(toroids.ToroidParams(3, 2, 2))
     lines = [r.getMessage() for r in caplog.records]
-    msg, = [m for m in lines if m.startswith("toroid ")]
-    assert msg.startswith("toroid ToroidParams(n=3, k=2, s=2): "
-                          "C-group + Tits, order 768, ")
-    enum, = [m for m in lines if m.startswith("enumeration ")]
-    assert re.match(r"enumeration on the (pure|compiled) kernel: "
-                    r"4 generators, \d+ relators, 768 cosets, ", enum)
+    closed, hypertope = [m for m in lines if m.startswith("toroid ")]
+    assert re.fullmatch(r"toroid ToroidParams\(n=3, k=2, s=2\): closed "
+                        r"form certified by parabolic index, index 16, "
+                        r"\|P_K\| 48, order 768, \d+\.\d{3} s", closed)
+    assert hypertope.startswith("toroid ToroidParams(n=3, k=2, s=2): "
+                                "C-group + Tits, order 768, ")
+    enums = [m for m in lines if m.startswith("enumeration ")]
+    assert len(enums) == 2
+    for enum, ngens, cosets in zip(enums, (3, 4), (48, 16)):
+        assert re.match(r"enumeration on the (pure|compiled) kernel: "
+                        r"%d generators, \d+ relators, %d cosets, "
+                        % (ngens, cosets), enum)
+
+
+def test_build_limit_is_the_group_order():
+    p = toroids.ToroidParams(3, 2, 2)
+    with pytest.raises(errors.Overflow) as exc:
+        toroids.build_cubic_toroid(p, max_cosets=767)
+    assert exc.value.max_cosets == 767
+    pg, _ = toroids.build_cubic_toroid(p, max_cosets=768)
+    assert pg.order() == 768
+    for bad in (0, 2 ** 31):
+        with pytest.raises(errors.InvalidParams, match="max_cosets"):
+            toroids.build_cubic_toroid(p, max_cosets=bad)
+
+
+def test_closed_form_certificate_negative_controls():
+    def certify(factors, cell):
+        p = toroids.ToroidParams(*cell)
+        return toroids._closed_form_group(
+            toroids.cubic_toroid_presentation(p), *factors, 10 ** 6, "t")
+    sigma, tau = toroids.toroid_factors(toroids.ToroidParams(3, 1, 3))
+    assert certify((sigma, tau), (3, 1, 3)).order() == 1296
+    # the k = 1 lattice 3Z^3 satisfies the k = 2 relator, but the k = 2
+    # presentation has twice the order: 54 cosets of K times |B_3| 48
+    with pytest.raises(errors.PropertyViolation,
+                       match=r"step \(c\) fails: index 54 times \|P_K\| "
+                             r"48 is not 1296"):
+        certify((sigma, tau), (3, 2, 3))
+    # the s = 4 classes do not close the s = 3 relator
+    with pytest.raises(errors.PropertyViolation,
+                       match=r"step \(a\) fails: relator .* does not close"):
+        certify(toroids.toroid_factors(toroids.ToroidParams(3, 1, 4)),
+                (3, 1, 3))
+    # rho_1 rho_2 in place of rho_1 has order 3
+    odd = sigma.copy()
+    odd[1] = sigma[2][sigma[1]]
+    with pytest.raises(errors.PropertyViolation,
+                       match=r"step \(a\) fails: .*not an involution"):
+        certify((odd, tau), (3, 1, 3))
+    # one generator short
+    with pytest.raises(errors.PropertyViolation,
+                       match=r"step \(a\) fails: 3 generators"):
+        certify((sigma[:3], tau[:3]), (3, 1, 3))
+    # fixed classes close every relator, but are not transitive
+    fixed = np.tile(np.arange(tau.shape[1]), (len(tau), 1))
+    with pytest.raises(errors.PropertyViolation, match=r"step \(b\) fails"):
+        certify((sigma, fixed), (3, 1, 3))
 
 
 def test_halved_presentation_order():
